@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .core import (
     Alphabet,
@@ -30,7 +29,7 @@ from .oracle import (
     stirling1,
     stirling2,
 )
-from .poly import Poly
+from .poly import Poly, parse_rational
 from .sequences import (
     PolySeq,
     abel_sequence,
@@ -160,7 +159,7 @@ class _ExprParser:
                 raise UmbraError("unbalanced parentheses")
             return value
         if re.fullmatch(r"-?\d+(/\d+)?", tok):
-            return UmbralPoly.scalar(Fraction(tok))
+            return UmbralPoly.scalar(parse_rational(tok))
         if tok in _SCALAR_NAMES:
             return UmbralPoly.scalar(Poly.var(tok))
         return UmbralPoly.of(self._resolve(tok))
@@ -315,7 +314,7 @@ def _cmd_ksequence(args) -> int:
     ab = Alphabet()
     uid = _register(ab, args.spec)
     if args.coeffs:
-        cs = [Fraction(tok) for tok in args.coeffs.split(",") if tok.strip()]
+        cs = [parse_rational(tok) for tok in args.coeffs.split(",") if tok.strip()]
         kseq = general_multiplicative(ab, cs, uid, args.n)
     else:
         kseq = k_polynomials(ab, uid, args.n)
@@ -381,6 +380,17 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _size(text: str) -> int:
+    """argparse type shared by every size argument: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid size: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"size must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="umbral",
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "-N",
         dest="order",
-        type=int,
+        type=_size,
         default=DEFAULT_ORDER,
         help=f"series truncation order (default {DEFAULT_ORDER})",
     )
@@ -399,12 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", parents=[common], help="inverse-umbra moments of the uniform umbra")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(handler=_cmd_bernoulli)
 
     p = sub.add_parser("moments", parents=[common], help="moments 0..n of a moment spec")
     p.add_argument("spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate an umbral expression")
@@ -415,48 +425,48 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in ("binomial", "abel", "rising", "appell"):
         p = sub.add_parser(kind, parents=[common], help=f"{kind} sequence from a moment spec")
         p.add_argument("spec")
-        p.add_argument("n", type=int)
+        p.add_argument("n", type=_size)
         p.set_defaults(handler=lambda args, _k=kind: _cmd_sequence(_k, args))
 
     p = sub.add_parser("sheffer", parents=[common], help="sheffer shift of a binomial-type base")
     p.add_argument("base_kind")
     p.add_argument("base_spec")
     p.add_argument("beta_spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(handler=_cmd_sheffer)
 
     p = sub.add_parser("delta-of", parents=[common], help="delta operator of a constructed sequence")
     p.add_argument("kind")
     p.add_argument("spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(handler=_cmd_delta_of)
 
     p = sub.add_parser("from-delta", parents=[common], help="sequence associated to a delta series")
     p.add_argument("series_spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(handler=_cmd_from_delta)
 
     p = sub.add_parser("compose", parents=[common], help="umbral composition of two binomial sequences")
     p.add_argument("outer_spec")
     p.add_argument("inner_spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("blissard", parents=[common], help="triple-checked expansion of {x/log(1+x)}^m")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_size)
+    p.add_argument("n", type=_size)
     p.set_defaults(handler=_cmd_blissard)
 
     p = sub.add_parser("ksequence", parents=[common], help="multiplicative K-sequence")
     p.add_argument("spec")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_size)
     p.add_argument("--coeffs", help="scale coefficients c1,c2,... for the general construction")
     p.set_defaults(handler=_cmd_ksequence)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force combinatorial counts")
     p.add_argument("what", choices=["stirling1", "stirling2", "fdp", "forests", "increasing-forests"])
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_size)
+    p.add_argument("b", type=_size)
     p.add_argument("--colors", help="outdegree color counts m0,m1,...")
     p.set_defaults(handler=_cmd_oracle)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Mapping, Sequence, Union
 
-from .poly import ONE, ZERO, Poly, as_poly
+from .poly import ONE, ZERO, Poly, as_poly, parse_rational
 from .series import Series, egf_from_moments, series_from_spec
 
 
@@ -45,12 +45,15 @@ class MomentSeq:
     derived rule such as the additive-inverse recursion.
     """
 
-    __slots__ = ("_fn", "_memo", "description")
+    __slots__ = ("_fn", "_memo", "description", "dot_table")
 
     def __init__(self, fn: Callable[[int], Union[Poly, Fraction, int]], description: str = "custom"):
         self._fn = fn
         self._memo: dict[int, Poly] = {0: ONE}
         self.description = description
+        #: The cumulant table :mod:`umbral.dot` builds on first use; kept
+        #: here so it lives exactly as long as the sequence.
+        self.dot_table = None
 
     def moment(self, k: int) -> Poly:
         if k < 0:
@@ -156,14 +159,14 @@ def momentseq_from_spec(spec: str) -> MomentSeq:
     if spec == "bernoulli":
         return MomentSeq.inverse_of(MomentSeq.uniform())
     if spec.startswith("const:"):
-        return MomentSeq.constant(Fraction(spec[len("const:") :]))
+        return MomentSeq.constant(parse_rational(spec[len("const:") :]))
     if spec.startswith("generic:"):
         return MomentSeq.generic(spec[len("generic:") :])
     if spec.startswith("list:"):
         body = spec[len("list:") :].strip()
         if body.startswith("[") and body.endswith("]"):
             body = body[1:-1]
-        values = [Fraction(tok) for tok in body.split(",") if tok.strip()]
+        values = [parse_rational(tok) for tok in body.split(",") if tok.strip()]
         return MomentSeq.from_list(values)
     if spec.startswith("egf:"):
         sub = spec[len("egf:") :]

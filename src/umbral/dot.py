@@ -1,11 +1,21 @@
 """The dot operation: integer dot ``n.p``, umbral dot ``p.q``, and chains.
 
 ``n.alpha`` stands for the sum of ``n`` independent copies of ``alpha``;
-its k-th moment is a polynomial in ``n``, obtained as ``k!`` times the
-coefficient of ``z^k`` in ``exp(n * log(g(z)))`` where ``g`` is the EGF of
-``alpha``'s moments.  Substituting an umbra (via its moments) for the
-integer argument defines the umbral dot ``p.q``, the formal analogue of
-summing a random number of i.i.d. terms.
+its k-th moment is a polynomial ``q_k(n)`` of degree at most k.  Cumulants
+add over independent sums, so ``q_k`` follows from the cumulants
+``kappa_j`` of ``alpha`` by one linear recurrence (the cumulant umbra of
+Di Nardo and Senato):
+
+    kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}
+    q_k(n)  = n * sum_{j<=k} C(k-1, j-1) kappa_j q_{k-j}(n),   q_0 = 1.
+
+Each operand keeps one table of moments, cumulants and the coefficients
+of ``q_k`` in powers of ``n``, extended only as far as a caller asks, so
+moment k is requested only when ``q_k`` is needed.  An umbra's table lives
+on its :class:`~umbral.core.MomentSeq` (and dies with its alphabet); an
+umbral-polynomial operand gets a table local to the call.  Substituting an
+umbra's moments for the powers of ``n`` defines the umbral dot ``p.q``,
+the formal analogue of summing a random number of i.i.d. terms.
 
 Results are registered as fresh auxiliary umbrae: calling a constructor
 twice with the same operands yields distinct, independent umbrae.  The raw
@@ -13,13 +23,13 @@ constructors reject auxiliary operands; the chain constructor is the one
 sanctioned way to nest dots, folding from the right.
 
 A brute-force multinomial expansion over explicit clones is provided as an
-independent oracle for the series route.
+independent oracle for the cumulant route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterator, Sequence, Union
 
 from .core import Alphabet, OperandLike, UmbraError, UmbraId, UmbralPoly, MomentSeq
@@ -55,13 +65,67 @@ def egf_of(alphabet: Alphabet, operand: OperandLike, order: int, var: str = "z")
     return egf_from_moments([mom(k) for k in range(order + 1)], var)
 
 
-def _q_poly(mom: MomentFn, k: int, var: str = DOT_VAR) -> Poly:
-    """``k! [z^k] exp(var * log(g))`` for the EGF ``g`` of the given moments."""
-    if k == 0:
-        return ONE
-    g = egf_from_moments([mom(i) for i in range(k + 1)])
-    scaled = g.log() * Poly.var(var)
-    return scaled.exp().coeff(k) * factorial(k)
+class _DotTable:
+    """Moments, cumulants and dot-coefficient polynomials of one operand.
+
+    ``coeffs(k)`` holds the coefficients of ``q_k(n)`` in powers of ``n``;
+    rows are appended one index at a time, each asking for exactly one new
+    moment.
+    """
+
+    __slots__ = ("_moment", "_moments", "_kappa", "_q")
+
+    def __init__(self, moment: MomentFn):
+        self._moment = moment
+        self._moments: list[Poly] = [ONE]
+        self._kappa: list[Poly] = [ZERO]
+        self._q: list[tuple[Poly, ...]] = [(ONE,)]
+
+    def coeffs(self, k: int) -> tuple[Poly, ...]:
+        """``(c_0, ..., c_k)`` with ``q_k(n) = sum_i c_i n^i``."""
+        if k < 0:
+            raise UmbraError("dot coefficient index must be non-negative")
+        while len(self._q) <= k:
+            self._extend()
+        return self._q[k]
+
+    def _extend(self) -> None:
+        k = len(self._q)
+        ms, kappa, q = self._moments, self._kappa, self._q
+        ms.append(self._moment(k))
+        acc = ms[k]
+        for j in range(1, k):
+            if kappa[j] and ms[k - j]:
+                acc = acc - kappa[j] * ms[k - j] * comb(k - 1, j - 1)
+        kappa.append(acc)
+        row = [ZERO] * (k + 1)
+        for j in range(1, k + 1):
+            if not kappa[j]:
+                continue
+            w = kappa[j] * comb(k - 1, j - 1)
+            for i, c in enumerate(q[k - j]):
+                if c:
+                    row[i + 1] = row[i + 1] + w * c
+        q.append(tuple(row))
+
+
+def _table(alphabet: Alphabet, operand: OperandLike) -> _DotTable:
+    """The operand's table: cached on an umbra's moment sequence, fresh otherwise."""
+    if isinstance(operand, UmbraId):
+        seq = alphabet.moment_seq(operand)
+        if seq.dot_table is None:
+            seq.dot_table = _DotTable(seq.moment)
+        return seq.dot_table
+    return _DotTable(_operand_moments(alphabet, operand))
+
+
+def _combine(coeffs: tuple[Poly, ...], power: MomentFn) -> Poly:
+    """``sum_i c_i power(i)`` over the nonzero coefficients only."""
+    total = ZERO
+    for i, c in enumerate(coeffs):
+        if c:
+            total = total + c * power(i)
+    return total
 
 
 def _require_base(alphabet: Alphabet, operand: OperandLike, what: str) -> None:
@@ -90,7 +154,7 @@ def _operand_label(operand: OperandLike) -> str:
 # ---------------------------------------------------------------------------
 
 
-def dot_coeff_poly(alphabet: Alphabet, gamma: UmbraId, k: int, var: str = DOT_VAR) -> Poly:
+def dot_coeff_poly(alphabet: Alphabet, gamma: OperandLike, k: int, var: str = DOT_VAR) -> Poly:
     """The k-th dot-coefficient polynomial of ``gamma`` in the formal variable.
 
     Its value at a positive integer ``n`` is the k-th moment of a sum of
@@ -98,7 +162,7 @@ def dot_coeff_poly(alphabet: Alphabet, gamma: UmbraId, k: int, var: str = DOT_VA
     most ``k``, and the coefficient ``q_0 = 1`` at ``k = 0``.
     """
     _require_base(alphabet, gamma, "dot")
-    return _q_poly(_operand_moments(alphabet, gamma), k, var)
+    return _combine(_table(alphabet, gamma).coeffs(k), lambda i: Poly.var(var, i))
 
 
 def dot_scalar(alphabet: Alphabet, scalar: Union[Poly, Fraction, int], gamma: UmbraId, k: int) -> Poly:
@@ -107,24 +171,17 @@ def dot_scalar(alphabet: Alphabet, scalar: Union[Poly, Fraction, int], gamma: Um
     No umbra is registered; the dot-coefficient polynomial is evaluated at
     ``s`` directly.
     """
-    q = dot_coeff_poly(alphabet, gamma, k)
-    return q.substitute({DOT_VAR: as_poly(scalar)})
+    _require_base(alphabet, gamma, "dot")
+    s = as_poly(scalar)
+    return _combine(_table(alphabet, gamma).coeffs(k), lambda i: s**i)
 
 
 def _dot_momentseq(alphabet: Alphabet, left: OperandLike, right: OperandLike) -> MomentSeq:
     """Moment sequence of ``left.right``: substitute left moments for powers
     of the formal variable in the right operand's dot-coefficient polynomials."""
     mom_left = _operand_moments(alphabet, left)
-    mom_right = _operand_moments(alphabet, right)
-
-    def fn(k: int) -> Poly:
-        q = _q_poly(mom_right, k)
-        total = ZERO
-        for j, c in q.coefficients_in(DOT_VAR).items():
-            total = total + c * mom_left(j)
-        return total
-
-    return MomentSeq.from_function(fn, "dot")
+    table = _table(alphabet, right)
+    return MomentSeq.from_function(lambda k: _combine(table.coeffs(k), mom_left), "dot")
 
 
 def _dot_any(alphabet: Alphabet, left: OperandLike, right: OperandLike) -> UmbraId:
@@ -151,10 +208,11 @@ def dot_int(alphabet: Alphabet, n: int, operand: OperandLike) -> UmbraId:
     if not isinstance(n, int):
         raise UmbraError("dot_int takes a Python integer multiplier")
     _require_base(alphabet, operand, "dot")
-    mom = _operand_moments(alphabet, operand)
+    table = _table(alphabet, operand)
+    m = Fraction(n)
 
     def fn(k: int) -> Poly:
-        return _q_poly(mom, k).substitute({DOT_VAR: Fraction(n)})
+        return _combine(table.coeffs(k), lambda i: Poly.const(m**i))
 
     name = f"{n}.{_operand_label(operand)}"
     return alphabet.register_derived(name, MomentSeq.from_function(fn, name), auxiliary=True)
@@ -191,7 +249,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def dot_int_oracle(alphabet: Alphabet, n: int, gamma: UmbraId, k: int) -> Poly:
+def dot_int_oracle(alphabet: Alphabet, n: int, gamma: OperandLike, k: int) -> Poly:
     """``E[(gamma_1 + ... + gamma_n)^k]`` by explicit multinomial expansion.
 
     No series machinery: this is the independent ground truth for the

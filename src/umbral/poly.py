@@ -332,3 +332,15 @@ ONE = Poly({(): Fraction(1)})
 def as_poly(value: ScalarLike) -> Poly:
     """Promote ints and Fractions to constant polynomials."""
     return value if isinstance(value, Poly) else Poly.const(value)
+
+
+def parse_rational(token: str) -> Fraction:
+    """An exact rational from text such as ``-3/4``.
+
+    Malformed text and zero denominators raise ``ValueError`` naming the
+    token, so callers parsing outside input need only one handler.
+    """
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token.strip()!r}") from None

@@ -223,6 +223,8 @@ def delta_operator_of(seq: PolySeq, order: int | None = None) -> Series:
     n = seq.n_max if order is None else order
     if n > seq.n_max:
         raise ValueError("requested order exceeds the sequence length")
+    if n < 1:
+        raise ValueError("a delta operator needs the entries up to p_1")
     bad = first_binomial_failure(seq, n)
     if bad is not None:
         raise ValueError(f"sequence is not of binomial type (fails at {bad})")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence, Union
 
-from .poly import ONE, ZERO, Poly, as_poly
+from .poly import ONE, ZERO, Poly, as_poly, parse_rational
 
 CoeffLike = Union[Poly, Fraction, int]
 
@@ -87,9 +87,16 @@ class Series:
 
     # -- ring operations ---------------------------------------------------------
 
+    def _check_same_var(self, other: "Series") -> None:
+        if other._var != self._var:
+            raise ValueError(
+                f"series in different variables: {self._var!r} and {other._var!r}"
+            )
+
     def __add__(self, other: Union["Series", CoeffLike]) -> "Series":
         if not isinstance(other, Series):
             other = Series.constant(other, self.order, self._var)
+        self._check_same_var(other)
         n = min(self.order, other.order)
         return Series(
             [self._coeffs[k] + other._coeffs[k] for k in range(n + 1)], self._var
@@ -103,6 +110,7 @@ class Series:
     def __sub__(self, other: Union["Series", CoeffLike]) -> "Series":
         if not isinstance(other, Series):
             other = Series.constant(other, self.order, self._var)
+        self._check_same_var(other)
         return self + (-other)
 
     def __rsub__(self, other: CoeffLike) -> "Series":
@@ -112,6 +120,7 @@ class Series:
         if not isinstance(other, Series):
             c = as_poly(other)
             return Series([ci * c for ci in self._coeffs], self._var)
+        self._check_same_var(other)
         n = min(self.order, other.order)
         out = []
         for k in range(n + 1):
@@ -162,6 +171,7 @@ class Series:
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute ``inner`` (which must have zero constant term) for the variable."""
+        self._check_same_var(inner)
         if inner._coeffs[0] != ZERO:
             raise ValueError("composition requires the inner series to vanish at 0")
         n = min(self.order, inner.order)
@@ -296,14 +306,6 @@ class Series:
         return cls(coeffs, data.get("variable", "z"))
 
 
-# -- operator application with explicit arguments ---------------------------------
-
-
-def apply_operator_series(op: Series, p: Poly, var: str = "x") -> Poly:
-    """Functional form of :meth:`Series.apply_to_poly`."""
-    return op.apply_to_poly(p, var)
-
-
 # -- common named series ------------------------------------------------------------
 
 
@@ -368,7 +370,7 @@ def series_from_spec(spec: str, order: int, var: str = "z") -> Series:
     spec = spec.strip()
     if spec.startswith("coeffs:"):
         body = spec[len("coeffs:") :]
-        cs = [Fraction(tok) for tok in body.split(",") if tok.strip()]
+        cs = [parse_rational(tok) for tok in body.split(",") if tok.strip()]
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         cs = cs + [Fraction(0)] * (order + 1 - len(cs))

@@ -1,19 +1,32 @@
+import gc
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from umbral import MomentSeq
 from umbral.cli import main
+
+
+def run_cli_captured(*args):
+    """Run the CLI in-process: (exit code, stdout, stderr), usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli(*args):
     """Run the CLI in-process, capturing stdout."""
-    import io
-    from contextlib import redirect_stdout
-
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(list(args))
-    return code, buf.getvalue()
+    code, out, _ = run_cli_captured(*args)
+    return code, out
 
 
 def run_cli_subprocess(*args):
@@ -152,3 +165,96 @@ def test_byte_identical_reruns():
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout  # non-empty
+
+
+def test_malformed_input_exits_cleanly():
+    for args, code, token in (
+        (("moments", "const:1/0", "3"), 1, "1/0"),
+        (("moments", "list:[1,2/0]", "2"), 1, "2/0"),
+        (("moments", "egf:coeffs:1,1/0", "2"), 1, "1/0"),
+        (("eval", "4/0"), 1, "4/0"),
+        (("eval", "--let", "a=const:3/0", "a^2"), 1, "3/0"),
+        (("ksequence", "uniform", "3", "--coeffs", "1/0"), 1, "1/0"),
+        (("from-delta", "coeffs:0,1/0", "3"), 1, "1/0"),
+        (("bernoulli", "-1"), 2, "-1"),
+        (("binomial", "uniform", "-2"), 2, "-2"),
+        (("blissard", "2", "-3"), 2, "-3"),
+        (("from-delta", "expm1", "3", "-N", "-1"), 2, "-1"),
+        (("delta-of", "binomial", "uniform", "0"), 1, "p_1"),
+    ):
+        got, out, err = run_cli_captured(*args)
+        assert (got, out) == (code, ""), args
+        assert "error:" in err and token in err and "Traceback" not in err, args
+
+
+def test_cli_jobs_leave_no_moment_sequences_behind():
+    def live_moment_seqs():
+        gc.collect()
+        return sum(isinstance(obj, MomentSeq) for obj in gc.get_objects())
+
+    def job(i):
+        spec = f"list:[{i % 5 + 1},{i % 3},-1/{i + 1},2,{i}]"
+        assert run_cli("binomial", spec, "5")[0] == 0
+
+    job(0)
+    before = live_moment_seqs()
+    for i in range(50):
+        job(i)
+    assert live_moment_seqs() <= before
+
+
+_SPECS = ("uniform", "eps", "bernoulli", "const:2", "const:-1/2", "const:1/0", "generic:a",
+          "list:[1,2,3]", "list:[]", "list:[0,1]", "list:[1,2/0]", "list:[a]", "egf:expm1",
+          "egf:coeffs:1,1/2", "egf:coeffs:1,1/0", "nosuch", "")
+_SIZES = st.one_of(st.integers(min_value=-2, max_value=4).map(str), st.sampled_from(["abc", "1.5", ""]))
+_EXPR_TOKENS = ("uniform", "bernoulli", "eps", "one", "x", "y", "nosuch", "2", "3/2", "1/0",
+                "+", "-", "*", "^", ".", "(", ")")
+
+
+@st.composite
+def cli_argv(draw):
+    cmd = draw(st.sampled_from(
+        ["bernoulli", "moments", "eval", "binomial", "abel", "rising", "appell", "sheffer",
+         "delta-of", "from-delta", "compose", "blissard", "ksequence", "oracle", "verify", "nosuch"]
+    ))
+    spec = st.sampled_from(_SPECS)
+    kind = st.sampled_from(["binomial", "abel", "rising", "appell", "nosuch"])
+    if cmd == "eval":
+        args = [" ".join(draw(st.lists(st.sampled_from(_EXPR_TOKENS), max_size=8)))]
+    elif cmd == "bernoulli":
+        args = [draw(_SIZES)]
+    elif cmd in ("moments", "binomial", "abel", "rising", "appell", "ksequence"):
+        args = [draw(spec), draw(_SIZES)]
+        if cmd == "ksequence" and draw(st.booleans()):
+            args += ["--coeffs", draw(st.sampled_from(["1,2", "0,1/0", "x", ""]))]
+    elif cmd == "sheffer":
+        args = [draw(kind), draw(spec), draw(spec), draw(_SIZES)]
+    elif cmd == "delta-of":
+        args = [draw(kind), draw(spec), draw(_SIZES)]
+    elif cmd == "from-delta":
+        series = st.sampled_from(["expm1", "log1p", "t-t^2", "t", "coeffs:0,1,1/2", "coeffs:1/0", "coeffs:0,0,1", "nope"])
+        args = [draw(series), draw(_SIZES), "-N", draw(_SIZES)]
+    elif cmd == "compose":
+        args = [draw(spec), draw(spec), draw(_SIZES)]
+    elif cmd == "blissard":
+        args = [draw(_SIZES), draw(_SIZES)]
+    elif cmd == "oracle":
+        what = st.sampled_from(["stirling1", "stirling2", "fdp", "forests", "increasing-forests", "nosuch"])
+        args = [draw(what), draw(_SIZES), draw(_SIZES)]
+        if draw(st.booleans()):
+            args += ["--colors", draw(st.sampled_from(["1,1,1", "1,-1", "x", ""]))]
+    elif cmd == "verify":
+        args = ["nosuch"]
+    else:
+        args = []
+    if draw(st.booleans()):
+        args.append("--json")
+    return [cmd, *args]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    code, _, err = run_cli_captured(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

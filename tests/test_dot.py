@@ -1,7 +1,9 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from umbral import (
     Alphabet,
@@ -15,10 +17,13 @@ from umbral import (
     dot_int,
     dot_int_oracle,
     dot_scalar,
+    egf_from_moments,
     egf_of,
     exchangeable_up_to,
 )
 from umbral.dot import DOT_VAR
+
+from conftest import rationals
 
 N = Poly.var(DOT_VAR)
 X = Poly.var("x")
@@ -280,3 +285,59 @@ def test_binomial_law_for_integer_dots(ab):
                     Poly.const(0),
                 )
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# The cumulant route against two independent routes
+# ---------------------------------------------------------------------------
+
+K_MAX = 5
+
+
+@st.composite
+def dot_operands(draw):
+    """An alphabet and an operand: list moments, generic symbols, or an
+    umbral polynomial in two list-moment umbrae."""
+    ab = Alphabet()
+    kind = draw(st.sampled_from(["list", "generic", "poly"]))
+    if kind == "generic":
+        return ab, ab.register("g", MomentSeq.generic("g"))
+    lists = st.lists(rationals, min_size=K_MAX * 2, max_size=K_MAX * 2)
+    if kind == "list":
+        return ab, ab.register("g", MomentSeq.from_list(draw(lists)))
+    a = UmbralPoly.of(ab.register("a", MomentSeq.from_list(draw(lists))))
+    b = UmbralPoly.of(ab.register("b", MomentSeq.from_list(draw(lists))))
+    c0, c1, c2 = draw(rationals), draw(rationals), draw(rationals)
+    return ab, a * c1 + b * b * c2 + c0
+
+
+@settings(max_examples=25, deadline=None)
+@given(dot_operands())
+def test_dot_coeff_poly_matches_exp_log_and_oracle(case):
+    ab, op = case
+    moments = [ab.evaluate(UmbralPoly.coerce(op) ** i) for i in range(K_MAX + 1)]
+    scaled_log = egf_from_moments(moments).log() * N
+    via_exp_log = scaled_log.exp()
+    for k in range(K_MAX + 1):
+        q = dot_coeff_poly(ab, op, k)
+        assert q == via_exp_log.coeff(k) * factorial(k)
+        for n in range(1, 4):
+            assert q.substitute({DOT_VAR: Fraction(n)}) == dot_int_oracle(ab, n, op, k)
+
+
+def test_list_operand_raises_past_its_moments(ab):
+    g = ab.register("g", MomentSeq.from_list([1, 2, 3]))
+    assert dot_coeff_poly(ab, g, 3).degree_in(DOT_VAR) == 3
+    with pytest.raises(UmbraError, match="moment 4"):
+        dot_coeff_poly(ab, g, 4)
+    # the cached table stays usable after the failure
+    assert dot_coeff_poly(ab, g, 2) == N * 2 + N * (N - 1)
+    two = dot_int(ab, 2, g)
+    assert ab.moment(two, 3) == dot_int_oracle(ab, 2, g, 3)
+    with pytest.raises(UmbraError, match="moment 4"):
+        ab.moment(two, 4)
+    left = ab.register("left", MomentSeq.from_list([1]))
+    u = dot(ab, UmbralPoly.of(left), UmbralPoly.of(g))
+    assert ab.moment(u, 1) == 1
+    with pytest.raises(UmbraError, match="moment 2"):
+        ab.moment(u, 2)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from umbral import (
     Poly,
     Series,
-    apply_operator_series,
     egf_from_moments,
     exp_series,
     expm1_series,
@@ -147,21 +146,21 @@ def test_comp_inverse_rejects_bad_input():
 def test_apply_operator_series():
     n = 6
     d = Series.identity(n, "D")
-    assert apply_operator_series(d, X**3) == 3 * X**2
+    assert d.apply_to_poly(X**3) == 3 * X**2
 
     c = Poly.var("y")
     shift = Series(
         [c**k * Fraction(1, factorial(k)) for k in range(n + 1)], "D"
     )
-    assert apply_operator_series(shift, X**2) == (X + c) ** 2
+    assert shift.apply_to_poly(X**2) == (X + c) ** 2
 
     backdiff = one_minus_exp_neg_series(n, "D")
-    assert apply_operator_series(backdiff, X**2) == 2 * X - 1
+    assert backdiff.apply_to_poly(X**2) == 2 * X - 1
 
 
 def test_apply_operator_rejects_low_order():
     with pytest.raises(ValueError):
-        apply_operator_series(Series([0, 1], "D"), X**3)
+        Series([0, 1], "D").apply_to_poly(X**3)
 
 
 def test_truncation_is_explicit():
@@ -227,6 +226,24 @@ def test_operator_composition_is_series_multiplication():
     t = Series([1, Fraction(1, 2), Fraction(-1, 3), 2, 0, 1], "D")
     s = Series([0, 1, 1, Fraction(1, 4), 0, 0], "D")
     p = X**4 - 2 * X**2 + X
-    composed = apply_operator_series(t * s, p)
-    staged = apply_operator_series(t, apply_operator_series(s, p))
+    composed = (t * s).apply_to_poly(p)
+    staged = t.apply_to_poly(s.apply_to_poly(p))
     assert composed == staged
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: a.compose(b),
+    ],
+    ids=["add", "sub", "mul", "compose"],
+)
+def test_mixed_variables_are_rejected(op):
+    z = Series([0, 1, 2], "z")
+    d = Series([0, 1, 3], "D")
+    with pytest.raises(ValueError, match="different variables"):
+        op(z, d)
+    assert op(z, d.with_var("z")).var == "z"
