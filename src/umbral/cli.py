@@ -7,6 +7,7 @@ exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -391,19 +392,14 @@ def _size(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="umbral",
         description="Exact umbral-calculus engine: moments, dots, and polynomial sequences.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "-N",
-        dest="order",
-        type=_size,
-        default=DEFAULT_ORDER,
-        help=f"series truncation order (default {DEFAULT_ORDER})",
-    )
     common.add_argument("--json", action="store_true", help="emit JSON")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -444,6 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("from-delta", parents=[common], help="sequence associated to a delta series")
     p.add_argument("series_spec")
     p.add_argument("n", type=_size)
+    p.add_argument(
+        "-N",
+        dest="order",
+        type=_size,
+        default=DEFAULT_ORDER,
+        help=f"series truncation order (default {DEFAULT_ORDER})",
+    )
     p.set_defaults(handler=_cmd_from_delta)
 
     p = sub.add_parser("compose", parents=[common], help="umbral composition of two binomial sequences")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Mapping, Sequence, Union
 
-from .poly import ONE, ZERO, Poly, as_poly, parse_rational
+from .poly import ONE, ZERO, Poly, as_poly, parse_rational, power
 from .series import Series, egf_from_moments, series_from_spec
 
 
@@ -263,16 +263,8 @@ class Alphabet:
         Its k-th moment is ``E[p^k]``, realized lazily.
         """
         p = UmbralPoly.coerce(p)
-        powers: dict[int, Poly] = {}
-
-        def fn(k: int) -> Poly:
-            got = powers.get(k)
-            if got is None:
-                got = self.evaluate(p**k)
-                powers[k] = got
-            return got
-
-        return self.register_derived(name, MomentSeq.from_function(fn, f"adopt({name})"), auxiliary=False)
+        moments = MomentSeq.from_function(lambda k: self.evaluate(p**k), f"adopt({name})")
+        return self.register_derived(name, moments, auxiliary=False)
 
     def inverse(self, uid: UmbraId) -> UmbraId:
         """Register the additive inverse umbra of ``uid``.
@@ -335,31 +327,6 @@ class Alphabet:
                 acc = acc * self.moment(uid, e)
             total = total + acc
         return total
-
-    def evaluate_partial(self, p: OperandLike, uid: UmbraId) -> "UmbralPoly":
-        """Average over one umbra only, leaving the others formal.
-
-        Powers of ``uid`` are replaced by its moments; this is the
-        two-stage evaluation that independence licenses.
-        """
-        p = UmbralPoly.coerce(p)
-        terms: dict[UMonomial, Poly] = {}
-        for mon, coeff in p._terms.items():
-            e = 0
-            rest = []
-            for u, k in mon:
-                if u == uid:
-                    e = k
-                else:
-                    rest.append((u, k))
-            c = coeff * self.moment(uid, e) if e else coeff
-            key = tuple(rest)
-            acc = terms.get(key, ZERO) + c
-            if acc.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return UmbralPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +427,7 @@ class UmbralPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "UmbralPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = UmbralPoly.scalar(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, UmbralPoly.scalar(1))
 
     # -- canonical forms ---------------------------------------------------------
 

@@ -43,20 +43,11 @@ MomentFn = Callable[[int], Poly]
 
 
 def _operand_moments(alphabet: Alphabet, operand: OperandLike) -> MomentFn:
-    """Moment provider ``k -> E[operand^k]`` with local memoization."""
+    """Moment provider ``k -> E[operand^k]``, memoized by a moment sequence."""
     if isinstance(operand, UmbraId):
         return lambda k: alphabet.moment(operand, k)
     p = UmbralPoly.coerce(operand)
-    memo: dict[int, Poly] = {}
-
-    def fn(k: int) -> Poly:
-        got = memo.get(k)
-        if got is None:
-            got = alphabet.evaluate(p**k)
-            memo[k] = got
-        return got
-
-    return fn
+    return MomentSeq.from_function(lambda k: alphabet.evaluate(p**k), "operand").moment
 
 
 def egf_of(alphabet: Alphabet, operand: OperandLike, order: int, var: str = "z") -> Series:

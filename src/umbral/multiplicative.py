@@ -108,6 +108,28 @@ def _rename(p: Poly, old: str, new: str) -> Poly:
     return p.substitute(bindings) if bindings else p
 
 
+def _product_law(entries: Sequence[Poly], top: int, symbol: str, weight) -> bool:
+    """``K_k(c) = sum_i w(k,i) K_i(a) K_{k-i}(b)`` for k up to ``top``, where
+    ``c_j = sum_i w(j,i) a_i b_{j-i}`` convolves two independent symbol
+    families with the weight ``w`` (binomial for EGFs, 1 for OGFs)."""
+    convolution: dict[str, Poly] = {}
+    for j in range(1, top + 1):
+        c_j = ZERO
+        for i in range(j + 1):
+            a_i = ONE if i == 0 else Poly.var(f"{symbol}_{i}")
+            b_ji = ONE if j - i == 0 else Poly.var(f"{_SYMBOL_B}_{j - i}")
+            c_j = c_j + weight(j, i) * a_i * b_ji
+        convolution[f"{symbol}_{j}"] = c_j
+    for kk in range(top + 1):
+        lhs = entries[kk].substitute(convolution)
+        rhs = ZERO
+        for i in range(kk + 1):
+            rhs = rhs + weight(kk, i) * entries[i] * _rename(entries[kk - i], symbol, _SYMBOL_B)
+        if lhs != rhs:
+            return False
+    return True
+
+
 def is_multiplicative(k: KSeq, m_max: int | None = None) -> bool:
     """Exact check of the EGF product law.
 
@@ -116,25 +138,7 @@ def is_multiplicative(k: KSeq, m_max: int | None = None) -> bool:
     a polynomial identity for every k up to the bound.
     """
     top = k.m_max if m_max is None else min(m_max, k.m_max)
-    s = k.symbol
-    if k[0] != ONE:
-        return False
-    convolution: dict[str, Poly] = {}
-    for j in range(1, top + 1):
-        c_j = ZERO
-        for i in range(j + 1):
-            a_i = ONE if i == 0 else Poly.var(f"{s}_{i}")
-            b_ji = ONE if j - i == 0 else Poly.var(f"{_SYMBOL_B}_{j - i}")
-            c_j = c_j + comb(j, i) * a_i * b_ji
-        convolution[f"{s}_{j}"] = c_j
-    for kk in range(1, top + 1):
-        lhs = k[kk].substitute(convolution)
-        rhs = ZERO
-        for i in range(kk + 1):
-            rhs = rhs + comb(kk, i) * k[i] * _rename(k[kk - i], s, _SYMBOL_B)
-        if lhs != rhs:
-            return False
-    return True
+    return k[0] == ONE and _product_law(k.entries, top, k.symbol, comb)
 
 
 def _graded_degrees(p: Poly, symbol: str) -> set[int]:
@@ -222,19 +226,4 @@ def msequence_product_identity(entries: Sequence[Poly], m_max: int, symbol: str 
     """
     top = min(m_max, len(entries) - 1)
     ogf = [_to_ogf_symbols(p, symbol) for p in entries[: top + 1]]
-    convolution: dict[str, Poly] = {}
-    for j in range(1, top + 1):
-        c_j = ZERO
-        for i in range(j + 1):
-            a_i = ONE if i == 0 else Poly.var(f"{symbol}_{i}")
-            b_ji = ONE if j - i == 0 else Poly.var(f"{_SYMBOL_B}_{j - i}")
-            c_j = c_j + a_i * b_ji
-        convolution[f"{symbol}_{j}"] = c_j
-    for kk in range(top + 1):
-        lhs = ogf[kk].substitute(convolution)
-        rhs = ZERO
-        for i in range(kk + 1):
-            rhs = rhs + ogf[i] * _rename(ogf[kk - i], symbol, _SYMBOL_B)
-        if lhs != rhs:
-            return False
-    return True
+    return _product_law(ogf, top, symbol, lambda j, i: 1)

@@ -226,17 +226,7 @@ class Poly:
         return self * (Fraction(1) / Fraction(scalar))
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(self, exponent, ONE)
 
     # -- calculus and substitution ------------------------------------------
 
@@ -258,13 +248,17 @@ class Poly:
         substitutions such as ``x -> x + y`` are exact and well defined.
         """
         bound = {v: Poly.const(b) for v, b in bindings.items()}
+        powers: dict[tuple[str, int], Poly] = {}
         total = ZERO
         for mon, c in self._terms.items():
             acc = Poly.const(c)
             kept: list[tuple[str, int]] = []
             for v, e in mon:
                 if v in bound:
-                    acc = acc * bound[v] ** e
+                    pw = powers.get((v, e))
+                    if pw is None:
+                        pw = powers[(v, e)] = bound[v] ** e
+                    acc = acc * pw
                 else:
                     kept.append((v, e))
             if kept:
@@ -327,6 +321,24 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly({(): Fraction(1)})
+
+
+def power(base, exponent: int, one):
+    """``base ** exponent`` by square-and-multiply, starting from ``one``.
+
+    The one exponentiation loop behind ``Poly``, ``Series`` and
+    ``UmbralPoly``; ``base`` needs only ``*``.
+    """
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        if exponent > 1:
+            base = base * base
+        exponent >>= 1
+    return result
 
 
 def as_poly(value: ScalarLike) -> Poly:

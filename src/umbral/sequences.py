@@ -3,8 +3,10 @@
 Constructors realize the three umbral presentations of binomial type
 (coefficient polynomials of ``x.gamma``, the generalized Abel form
 ``x(x + n.alpha)^{n-1}``, and the generalized rising factorial over
-exchangeable clones), plus Appell sequences ``E[(x+alpha)^n]`` and Sheffer
-shifts ``E[p_n(x+beta)]``.  Each sequence travels with its delta operator:
+i.i.d. increments), plus Appell sequences ``E[(x+alpha)^n]`` and Sheffer
+shifts ``E[p_n(x+beta)]``.  All but the first average their umbra out of a
+shifted argument through the one primitive :func:`shift_by_umbra`.  Each
+sequence travels with its delta operator:
 ``delta_operator_of`` inverts the derivative-at-zero series, and the
 transfer and Rodrigues formulas rebuild entries operator-side.
 
@@ -27,6 +29,7 @@ from .series import Series
 
 X = Poly.var("x")
 Y = Poly.var("y")
+_S = Poly.var("s")
 
 
 @dataclass(frozen=True)
@@ -105,59 +108,44 @@ def binomial_from_umbra(
 
 def abel_sequence(alphabet: Alphabet, alpha: UmbraId, n_max: int) -> PolySeq:
     """The generalized Abel presentation ``p_n(x) = E[x (x + n.alpha)^{n-1}]``."""
-    entries: list[Poly] = [ONE]
-    xs = UmbralPoly.scalar(X)
-    for n in range(1, n_max + 1):
-        u = UmbralPoly.of(dot_int(alphabet, n, alpha))
-        entries.append(alphabet.evaluate(xs * (xs + u) ** (n - 1)))
+    entries = [ONE] + [
+        X * shift_by_umbra(alphabet, X ** (n - 1), dot_int(alphabet, n, alpha))
+        for n in range(1, n_max + 1)
+    ]
     return PolySeq(tuple(entries), Provenance("abel", parameter=alpha))
-
-
-def _rising_entry(alphabet: Alphabet, clones: Sequence[UmbraId], n: int) -> Poly:
-    # Multiply the factors x + (mu_1 + ... + mu_j) from j = n-1 downward and
-    # average out mu_j as soon as no remaining factor contains it; this keeps
-    # intermediate supports small without changing the value (independence).
-    if n == 0:
-        return ONE
-    xs = UmbralPoly.scalar(X)
-    prefix = [UmbralPoly.scalar(0)]
-    for uid in clones:
-        prefix.append(prefix[-1] + UmbralPoly.of(uid))
-    acc = UmbralPoly.scalar(1)
-    for j in range(n - 1, 0, -1):
-        acc = acc * (xs + prefix[j])
-        acc = alphabet.evaluate_partial(acc, clones[j - 1])
-    return X * alphabet.evaluate(acc)
 
 
 def rising_factorial_sequence(alphabet: Alphabet, mu: UmbraId, n_max: int) -> PolySeq:
     """The presentation ``p_n(x) = E[x (x+mu_1) (x+mu_1+mu_2) ...]``.
 
-    The clones ``mu_i`` are registered once and reused across entries.
+    The ``mu_i`` are independent copies of ``mu``.  With
+    ``S_j = mu_1 + ... + mu_j``, ``acc_t(x, s) = E[(x+s+S_1) ... (x+s+S_t)]``
+    obeys ``acc_{t+1}(x, s) = E[acc_t(x, s+mu) (x+s+mu)]`` because the
+    increments are i.i.d., so one sweep averages out one increment per step
+    and serves every entry, ``p_n = x acc_{n-1}(x, 0)``, with no clone
+    registered.
     """
-    clones = [alphabet.clone(mu) for _ in range(max(0, n_max - 1))]
-    entries = [_rising_entry(alphabet, clones, n) for n in range(n_max + 1)]
+    entries = [ONE]
+    acc = ONE
+    for n in range(1, n_max + 1):
+        if n > 1:
+            acc = shift_by_umbra(alphabet, acc * (X + _S), mu, "s")
+        entries.append(X * acc.coefficient_of("s", 0))
     return PolySeq(tuple(entries), Provenance("rising", parameter=mu))
 
 
 def appell_from(alphabet: Alphabet, alpha: UmbraId, n_max: int) -> PolySeq:
     """The Appell sequence ``s_n(x) = E[(x + alpha)^n]``."""
-    entries = []
-    for n in range(n_max + 1):
-        acc = ZERO
-        for i in range(n + 1):
-            acc = acc + alphabet.moment(alpha, i) * comb(n, i) * X ** (n - i)
-        entries.append(acc)
+    entries = [shift_by_umbra(alphabet, X**n, alpha) for n in range(n_max + 1)]
     return PolySeq(tuple(entries), Provenance("appell", parameter=alpha))
 
 
 def shift_by_umbra(alphabet: Alphabet, p: Poly, beta: UmbraId, var: str = "x") -> Poly:
     """``E[p(x + beta)]``: expand powers of the shifted variable umbrally."""
     out = ZERO
-    xv = Poly.var(var)
     for k, c in p.coefficients_in(var).items():
         for i in range(k + 1):
-            out = out + c * comb(k, i) * xv ** (k - i) * alphabet.moment(beta, i)
+            out = out + c * comb(k, i) * Poly.var(var, k - i) * alphabet.moment(beta, i)
     return out
 
 
@@ -428,8 +416,7 @@ def rising_umbra_for(alphabet: Alphabet, seq: PolySeq, name: str = "rising-rep")
         target = derivative_at_zero(seq[n])
         scratch = Alphabet()
         trial = scratch.register("m0", MomentSeq.from_list([*moments, ZERO]))
-        clones = [scratch.clone(trial) for _ in range(n - 1)]
-        partial = derivative_at_zero(_rising_entry(scratch, clones, n))
+        partial = derivative_at_zero(rising_factorial_sequence(scratch, trial, n)[n])
         moments.append(target - partial)
     return alphabet.register_derived(
         name, MomentSeq.from_list(moments), auxiliary=False

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence, Union
 
-from .poly import ONE, ZERO, Poly, as_poly, parse_rational
+from .poly import ONE, ZERO, Poly, as_poly, parse_rational, power
 
 CoeffLike = Union[Poly, Fraction, int]
 
@@ -136,18 +136,7 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Series":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers take non-negative integer exponents")
-        result = Series.constant(1, self.order, self._var)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, Series.constant(1, self.order, self._var))
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse, solved coefficient by coefficient.
@@ -185,24 +174,13 @@ class Series:
         """Exponential of a series with constant term exactly 0."""
         if self._coeffs[0] != ZERO:
             raise ValueError("exp requires constant term 0")
-        n = self.order
-        acc = Series.constant(Fraction(1, factorial(n)), n, self._var)
-        for k in range(n - 1, -1, -1):
-            acc = acc * self + Fraction(1, factorial(k))
-        return acc
+        return exp_series(self.order, self._var).compose(self)
 
     def log(self) -> "Series":
         """Logarithm of a series with constant term exactly 1."""
         if self._coeffs[0] != ONE:
             raise ValueError("log requires constant term 1")
-        n = self.order
-        u = self - 1
-        if n == 0:
-            return Series([0], self._var)
-        acc = Series.constant(Fraction((-1) ** (n + 1), n), n, self._var)
-        for k in range(n - 1, 0, -1):
-            acc = acc * u + Fraction((-1) ** (k + 1), k)
-        return acc * u
+        return log1p_series(self.order, self._var).compose(self - 1)
 
     def comp_inverse(self) -> "Series":
         """Compositional inverse of a delta series (``f(0)=0``, ``f'(0)`` invertible).

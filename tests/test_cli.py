@@ -180,11 +180,20 @@ def test_malformed_input_exits_cleanly():
         (("binomial", "uniform", "-2"), 2, "-2"),
         (("blissard", "2", "-3"), 2, "-3"),
         (("from-delta", "expm1", "3", "-N", "-1"), 2, "-1"),
+        (("bernoulli", "5", "-N", "3"), 2, "-N"),
         (("delta-of", "binomial", "uniform", "0"), 1, "p_1"),
     ):
         got, out, err = run_cli_captured(*args)
         assert (got, out) == (code, ""), args
         assert "error:" in err and token in err and "Traceback" not in err, args
+
+
+def test_repeated_main_calls_share_no_state():
+    bound = run_cli("eval", "--let", "a=const:2", "a^2", "--json")
+    assert bound[0] == 0 and json.loads(bound[1]) == {"value": [{"coeff": "4", "vars": {}}]}
+    code, out, err = run_cli_captured("eval", "a^2")
+    assert (code, out) == (1, "") and "unknown name 'a'" in err
+    assert run_cli("bernoulli", "2") == (0, "1, -1/2, 1/6\n")
 
 
 def test_cli_jobs_leave_no_moment_sequences_behind():

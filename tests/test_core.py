@@ -201,14 +201,6 @@ def test_inverse_with_generic_moments(ab):
     )
 
 
-def test_evaluate_partial_matches_full(ab):
-    g = ab.register("g", MomentSeq.uniform())
-    a = ab.register("a", MomentSeq.generic("a"))
-    p = (UmbralPoly.of(g) + UmbralPoly.of(a)) ** 3 + UmbralPoly.of(g) * 5
-    staged = ab.evaluate(ab.evaluate_partial(p, g))
-    assert staged == ab.evaluate(p)
-
-
 def test_momentseq_from_spec():
     specs = {
         "uniform": Fraction(1, 3),

@@ -167,6 +167,15 @@ def test_rising_matches_unoptimized_expansion(ab):
     assert seq[n] == direct
 
 
+def test_rising_constructions_register_no_clones(ab):
+    mu = ab.register("mu", MomentSeq.uniform())
+    before = dict(ab._moments)
+    seq = rising_factorial_sequence(ab, mu, 6)
+    assert ab._moments == before
+    rep = rising_umbra_for(ab, normalize(ab, seq))
+    assert set(ab._moments) - set(before) == {rep}
+
+
 # ---------------------------------------------------------------------------
 # delta operators
 # ---------------------------------------------------------------------------
