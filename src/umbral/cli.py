@@ -12,14 +12,7 @@ import json
 import re
 import sys
 
-from .core import (
-    Alphabet,
-    MomentSeq,
-    UmbraError,
-    UmbraId,
-    UmbralPoly,
-    momentseq_from_spec,
-)
+from .core import Alphabet, MomentSeq, UmbraError, UmbraId, UmbralPoly
 from .dot import dot_chain
 from .multiplicative import general_multiplicative, k_polynomials
 from .oracle import (
@@ -173,7 +166,7 @@ class _ExprParser:
                 raise UmbraError(
                     f"unknown name {name!r}; bind it with --let {name}=<moment-spec>"
                 )
-            uid = self.alphabet.register(name, momentseq_from_spec(spec))
+            uid = self.alphabet.register_spec(name, spec)
             self.bound[name] = uid
         return uid
 
@@ -205,10 +198,6 @@ def _sequence_output(seq: PolySeq, as_json: bool) -> None:
         _emit(["; ".join(str(p) for p in seq.entries)])
 
 
-def _register(alphabet: Alphabet, spec: str, name: str = "g") -> UmbraId:
-    return alphabet.register(name, momentseq_from_spec(spec))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -223,7 +212,7 @@ def _cmd_bernoulli(args) -> int:
 
 def _cmd_moments(args) -> int:
     ab = Alphabet()
-    uid = _register(ab, args.spec)
+    uid = ab.register_spec("g", args.spec)
     values = ab.moments(uid, args.n)
     if args.json:
         _emit_json({"moments": [v.to_json() for v in values]})
@@ -238,7 +227,10 @@ def _cmd_eval(args) -> int:
         name, _, spec = pair.partition("=")
         if not name or not spec:
             raise UmbraError(f"malformed --let binding: {pair!r}")
-        lets[name.strip()] = spec.strip()
+        name = name.strip()
+        if name in _SCALAR_NAMES:
+            raise UmbraError(f"--let cannot bind {name!r}: x and y are ground-ring variables")
+        lets[name] = spec.strip()
     ab = Alphabet()
     value = _ExprParser(args.expr, ab, lets).parse()
     result = ab.evaluate(value)
@@ -251,7 +243,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sequence(kind: str, args) -> int:
     ab = Alphabet()
-    uid = _register(ab, args.spec)
+    uid = ab.register_spec("g", args.spec)
     seq = _SEQ_BUILDERS[kind](ab, uid, args.n)
     _sequence_output(seq, args.json)
     return 0
@@ -261,9 +253,9 @@ def _cmd_sheffer(args) -> int:
     if args.base_kind not in ("binomial", "abel", "rising"):
         raise UmbraError("sheffer base kind must be binomial, abel, or rising")
     ab = Alphabet()
-    base_umbra = _register(ab, args.base_spec, "base")
+    base_umbra = ab.register_spec("base", args.base_spec)
     base = _SEQ_BUILDERS[args.base_kind](ab, base_umbra, args.n)
-    beta = _register(ab, args.beta_spec, "beta")
+    beta = ab.register_spec("beta", args.beta_spec)
     _sequence_output(sheffer_from(ab, base, beta), args.json)
     return 0
 
@@ -272,7 +264,7 @@ def _cmd_delta_of(args) -> int:
     if args.kind not in ("binomial", "abel", "rising"):
         raise UmbraError("delta-of kind must be binomial, abel, or rising")
     ab = Alphabet()
-    uid = _register(ab, args.spec)
+    uid = ab.register_spec("g", args.spec)
     seq = _SEQ_BUILDERS[args.kind](ab, uid, args.n)
     f = delta_operator_of(seq)
     if args.json:
@@ -292,8 +284,8 @@ def _cmd_from_delta(args) -> int:
 
 def _cmd_compose(args) -> int:
     ab = Alphabet()
-    outer = binomial_from_umbra(ab, _register(ab, args.outer_spec, "outer"), args.n)
-    inner = binomial_from_umbra(ab, _register(ab, args.inner_spec, "inner"), args.n)
+    outer = binomial_from_umbra(ab, ab.register_spec("outer", args.outer_spec), args.n)
+    inner = binomial_from_umbra(ab, ab.register_spec("inner", args.inner_spec), args.n)
     _sequence_output(umbral_compose(ab, outer, inner), args.json)
     return 0
 
@@ -313,8 +305,8 @@ def _cmd_blissard(args) -> int:
 
 def _cmd_ksequence(args) -> int:
     ab = Alphabet()
-    uid = _register(ab, args.spec)
-    if args.coeffs:
+    uid = ab.register_spec("g", args.spec)
+    if args.coeffs is not None:
         cs = [parse_rational(tok) for tok in args.coeffs.split(",") if tok.strip()]
         kseq = general_multiplicative(ab, cs, uid, args.n)
     else:

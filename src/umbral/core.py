@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Mapping, Sequence, Union
 
-from .poly import ONE, ZERO, Poly, as_poly, parse_rational, power
-from .series import Series, egf_from_moments, series_from_spec
+from .poly import ONE, ZERO, Poly, _format_terms, _mul_monomials, as_poly, parse_rational, power
+from .series import Series, series_from_spec
 
 
 class UmbraError(ValueError):
@@ -68,10 +68,6 @@ class MomentSeq:
         return f"MomentSeq({self.description})"
 
     # -- stock sequences ----------------------------------------------------
-
-    @classmethod
-    def from_function(cls, fn: Callable[[int], Union[Poly, Fraction, int]], description: str = "custom") -> "MomentSeq":
-        return cls(fn, description)
 
     @classmethod
     def from_list(cls, values: Sequence[Union[Poly, Fraction, int]]) -> "MomentSeq":
@@ -177,7 +173,7 @@ def momentseq_from_spec(spec: str) -> MomentSeq:
                 raise UmbraError("an EGF of moments must have constant term 1")
             return s.coeff(k) * factorial(k)
 
-        return MomentSeq.from_function(egf_moment, f"egf:{sub}")
+        return MomentSeq(egf_moment, f"egf:{sub}")
     raise UmbraError(f"unknown moment spec: {spec!r}")
 
 
@@ -246,9 +242,7 @@ class Alphabet:
 
     def clone(self, uid: UmbraId) -> UmbraId:
         """A fresh umbra exchangeable with ``uid`` (same moments, independent)."""
-        seq = self._moments.get(uid)
-        if seq is None:
-            raise UmbraError(f"unknown umbra: {uid}")
+        seq = self._seq(uid)
         copy = self._copies[uid.name]
         self._copies[uid.name] = copy + 1
         new = UmbraId(uid.name, copy)
@@ -263,7 +257,7 @@ class Alphabet:
         Its k-th moment is ``E[p^k]``, realized lazily.
         """
         p = UmbralPoly.coerce(p)
-        moments = MomentSeq.from_function(lambda k: self.evaluate(p**k), f"adopt({name})")
+        moments = MomentSeq(lambda k: self.evaluate(p**k), f"adopt({name})")
         return self.register_derived(name, moments, auxiliary=False)
 
     def inverse(self, uid: UmbraId) -> UmbraId:
@@ -273,38 +267,31 @@ class Alphabet:
         umbra to every order; for uniform moments this produces the
         Bernoulli numbers.
         """
-        seq = self._moments.get(uid)
-        if seq is None:
-            raise UmbraError(f"unknown umbra: {uid}")
         return self.register_derived(
-            f"~{uid.name}", MomentSeq.inverse_of(seq), auxiliary=False
+            f"~{uid.name}", MomentSeq.inverse_of(self._seq(uid)), auxiliary=False
         )
 
     # -- lookups ---------------------------------------------------------------
 
-    def moment(self, uid: UmbraId, k: int) -> Poly:
-        seq = self._moments.get(uid)
-        if seq is None:
-            raise UmbraError(f"unknown umbra: {uid}")
-        return seq.moment(k)
-
-    def moments(self, uid: UmbraId, up_to: int) -> list[Poly]:
-        return [self.moment(uid, k) for k in range(up_to + 1)]
-
-    def moment_seq(self, uid: UmbraId) -> MomentSeq:
+    def _seq(self, uid: UmbraId) -> MomentSeq:
+        """The moment sequence of ``uid``; the one unknown-umbra guard."""
         seq = self._moments.get(uid)
         if seq is None:
             raise UmbraError(f"unknown umbra: {uid}")
         return seq
 
-    def is_auxiliary(self, uid: UmbraId) -> bool:
-        if uid not in self._moments:
-            raise UmbraError(f"unknown umbra: {uid}")
-        return uid in self._auxiliary
+    def moment(self, uid: UmbraId, k: int) -> Poly:
+        return self._seq(uid).moment(k)
 
-    def egf(self, uid: UmbraId, order: int, var: str = "z") -> Series:
-        """Exponential generating function of the umbra's moments."""
-        return egf_from_moments(self.moments(uid, order), var)
+    def moments(self, uid: UmbraId, up_to: int) -> list[Poly]:
+        return [self.moment(uid, k) for k in range(up_to + 1)]
+
+    def moment_seq(self, uid: UmbraId) -> MomentSeq:
+        return self._seq(uid)
+
+    def is_auxiliary(self, uid: UmbraId) -> bool:
+        self._seq(uid)
+        return uid in self._auxiliary
 
     def u(self, uid: UmbraId) -> "UmbralPoly":
         """The umbra as an umbral polynomial (convenience)."""
@@ -414,7 +401,7 @@ class UmbralPoly:
         terms: dict[UMonomial, Poly] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mon = _mul_umonomials(m1, m2)
+                mon = _mul_monomials(m1, m2, None)
                 s = terms.get(mon, ZERO) + c1 * c2
                 if s.is_zero:
                     terms.pop(mon, None)
@@ -439,36 +426,14 @@ class UmbralPoly:
         return self._terms == other._terms
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for mon, c in sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            mtxt = "*".join(
-                str(u) if e == 1 else f"{u}^{e}" for u, e in mon
-            )
-            if not mon:
-                bits.append(str(c))
-            elif c == ONE:
-                bits.append(mtxt)
-            elif c.is_constant:
-                bits.append(f"{c}*{mtxt}")
-            else:
-                bits.append(f"({c})*{mtxt}")
-        return " + ".join(bits)
+        terms = sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return _format_terms(
+            (c, "*".join(str(u) if e == 1 else f"{u}^{e}" for u, e in mon))
+            for mon, c in terms
+        )
 
     def __repr__(self) -> str:
         return f"UmbralPoly({self})"
-
-
-def _mul_umonomials(m1: UMonomial, m2: UMonomial) -> UMonomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for u, e in m2:
-        exps[u] = exps.get(u, 0) + e
-    return tuple(sorted(exps.items()))
 
 
 # ---------------------------------------------------------------------------

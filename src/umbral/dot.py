@@ -47,7 +47,7 @@ def _operand_moments(alphabet: Alphabet, operand: OperandLike) -> MomentFn:
     if isinstance(operand, UmbraId):
         return lambda k: alphabet.moment(operand, k)
     p = UmbralPoly.coerce(operand)
-    return MomentSeq.from_function(lambda k: alphabet.evaluate(p**k), "operand").moment
+    return MomentSeq(lambda k: alphabet.evaluate(p**k), "operand").moment
 
 
 def egf_of(alphabet: Alphabet, operand: OperandLike, order: int, var: str = "z") -> Series:
@@ -172,7 +172,7 @@ def _dot_momentseq(alphabet: Alphabet, left: OperandLike, right: OperandLike) ->
     of the formal variable in the right operand's dot-coefficient polynomials."""
     mom_left = _operand_moments(alphabet, left)
     table = _table(alphabet, right)
-    return MomentSeq.from_function(lambda k: _combine(table.coeffs(k), mom_left), "dot")
+    return MomentSeq(lambda k: _combine(table.coeffs(k), mom_left), "dot")
 
 
 def _dot_any(alphabet: Alphabet, left: OperandLike, right: OperandLike) -> UmbraId:
@@ -206,7 +206,7 @@ def dot_int(alphabet: Alphabet, n: int, operand: OperandLike) -> UmbraId:
         return _combine(table.coeffs(k), lambda i: Poly.const(m**i))
 
     name = f"{n}.{_operand_label(operand)}"
-    return alphabet.register_derived(name, MomentSeq.from_function(fn, name), auxiliary=True)
+    return alphabet.register_derived(name, MomentSeq(fn, name), auxiliary=True)
 
 
 def dot_chain(alphabet: Alphabet, operands: Sequence[OperandLike]) -> UmbraId:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .core import Alphabet, MomentSeq, UmbraError, UmbraId, UmbralPoly
 from .dot import dot_chain, dot_coeff_poly, DOT_VAR
-from .poly import ONE, ZERO, Poly, as_poly
+from .poly import ONE, ZERO, Poly, as_poly, first_law_failure
 
 _SYMBOL_A = "a"
 _SYMBOL_B = "b"
@@ -59,7 +59,7 @@ def k_polynomials(alphabet: Alphabet, gamma: UmbraId, m_max: int, symbol: str = 
     entries: list[Poly] = [ONE]
     for m in range(1, m_max + 1):
         q = dot_coeff_poly(alphabet, gamma, m)
-        if q.variables() - {DOT_VAR}:
+        if not alphabet.moment(gamma, m).is_constant:
             raise UmbraError("k_polynomials requires rational moments on the right operand")
         k_m = ZERO
         for j, c in q.coefficients_in(DOT_VAR).items():
@@ -99,15 +99,6 @@ def general_multiplicative(
 # ---------------------------------------------------------------------------
 
 
-def _rename(p: Poly, old: str, new: str) -> Poly:
-    bindings = {
-        v: Poly.var(f"{new}_{v[len(old) + 1:]}")
-        for v in p.variables()
-        if v.startswith(f"{old}_")
-    }
-    return p.substitute(bindings) if bindings else p
-
-
 def _product_law(entries: Sequence[Poly], top: int, symbol: str, weight) -> bool:
     """``K_k(c) = sum_i w(k,i) K_i(a) K_{k-i}(b)`` for k up to ``top``, where
     ``c_j = sum_i w(j,i) a_i b_{j-i}`` convolves two independent symbol
@@ -120,14 +111,14 @@ def _product_law(entries: Sequence[Poly], top: int, symbol: str, weight) -> bool
             b_ji = ONE if j - i == 0 else Poly.var(f"{_SYMBOL_B}_{j - i}")
             c_j = c_j + weight(j, i) * a_i * b_ji
         convolution[f"{symbol}_{j}"] = c_j
-    for kk in range(top + 1):
-        lhs = entries[kk].substitute(convolution)
-        rhs = ZERO
-        for i in range(kk + 1):
-            rhs = rhs + weight(kk, i) * entries[i] * _rename(entries[kk - i], symbol, _SYMBOL_B)
-        if lhs != rhs:
-            return False
-    return True
+    prefix = f"{symbol}_"
+    to_b = {
+        v: Poly.var(f"{_SYMBOL_B}_{v[len(prefix):]}")
+        for p in entries[: top + 1]
+        for v in p.variables()
+        if v.startswith(prefix)
+    }
+    return first_law_failure(entries, entries, top, convolution, to_b, weight) is None
 
 
 def is_multiplicative(k: KSeq, m_max: int | None = None) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 #: Exact scalar type used everywhere in the package.
 Rational = Fraction
@@ -43,7 +43,12 @@ def var_sort_key(name: str) -> tuple[str, int]:
     return (name, -1)
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+def _var_key(ve: tuple[str, int]) -> tuple[str, int]:
+    return var_sort_key(ve[0])
+
+
+def _mul_monomials(m1, m2, key):
+    """Product of two monomials of ``Poly`` (``key=_var_key``) or ``UmbralPoly`` (``key=None``)."""
     if not m1:
         return m2
     if not m2:
@@ -51,7 +56,7 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     exps = dict(m1)
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda ve: var_sort_key(ve[0])))
+    return tuple(sorted(exps.items(), key=key))
 
 
 def _monomial_degree(mon: Monomial) -> int:
@@ -96,12 +101,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, vars: Mapping[str, int], coeff: ScalarLike = 1) -> "Poly":
-        mon = tuple(
-            sorted(
-                ((v, e) for v, e in vars.items() if e),
-                key=lambda ve: var_sort_key(ve[0]),
-            )
-        )
+        mon = tuple(sorted(((v, e) for v, e in vars.items() if e), key=_var_key))
         if any(e < 0 for _, e in mon):
             raise ValueError("negative exponents are not supported")
         return cls({mon: coeff})
@@ -206,7 +206,7 @@ class Poly:
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mon = _mul_monomials(m1, m2)
+                mon = _mul_monomials(m1, m2, _var_key)
                 s = terms.get(mon, Fraction(0)) + c1 * c2
                 if s:
                     terms[mon] = s
@@ -247,24 +247,7 @@ class Poly:
         Variables absent from ``bindings`` are left in place, so partial
         substitutions such as ``x -> x + y`` are exact and well defined.
         """
-        bound = {v: Poly.const(b) for v, b in bindings.items()}
-        powers: dict[tuple[str, int], Poly] = {}
-        total = ZERO
-        for mon, c in self._terms.items():
-            acc = Poly.const(c)
-            kept: list[tuple[str, int]] = []
-            for v, e in mon:
-                if v in bound:
-                    pw = powers.get((v, e))
-                    if pw is None:
-                        pw = powers[(v, e)] = bound[v] ** e
-                    acc = acc * pw
-                else:
-                    kept.append((v, e))
-            if kept:
-                acc = acc * Poly({tuple(kept): Fraction(1)})
-            total = total + acc
-        return total
+        return _substitute(self, {v: Poly.const(b) for v, b in bindings.items()}, {})
 
     # -- canonical forms -----------------------------------------------------
 
@@ -339,6 +322,73 @@ def power(base, exponent: int, one):
             base = base * base
         exponent >>= 1
     return result
+
+
+def _substitute(p: Poly, bound: Mapping[str, Poly], powers: dict[tuple[str, int], Poly]) -> Poly:
+    """The one substitution loop: ``p`` with every bound variable replaced.
+
+    ``powers`` caches ``bound[v] ** e``; a caller that substitutes the
+    same bindings into several polynomials passes one table to all of them.
+    """
+    total = ZERO
+    for mon, c in p._terms.items():
+        acc = Poly.const(c)
+        kept: list[tuple[str, int]] = []
+        for v, e in mon:
+            if v in bound:
+                pw = powers.get((v, e))
+                if pw is None:
+                    pw = powers[(v, e)] = bound[v] ** e
+                acc = acc * pw
+            else:
+                kept.append((v, e))
+        if kept:
+            acc = acc * Poly({tuple(kept): Fraction(1)})
+        total = total + acc
+    return total
+
+
+def first_law_failure(
+    left: Sequence[Poly], right: Sequence[Poly], top: int,
+    at_sum: Mapping[str, Poly], rename: Mapping[str, Poly], weight: Callable[[int, int], int],
+) -> int | None:
+    """First ``k <= top`` where the convolution law fails, or None.
+
+    The law is ``right_k|at_sum = sum_i weight(k, i) left_i rename(right_{k-i})``,
+    checked as an exact polynomial identity.  With ``at_sum = {x: x+y}``,
+    ``rename = {x: y}`` and binomial weights it is the binomial-type
+    identity (``left = right``) or the Sheffer identity (``left`` the
+    binomial base); with ``at_sum`` the convolution of two symbol families
+    it is the product law of multiplicative sequences.  All entries share
+    one table of powers per binding.
+    """
+    sum_powers: dict[tuple[str, int], Poly] = {}
+    rename_powers: dict[tuple[str, int], Poly] = {}
+    renamed: list[Poly] = []
+    for k in range(top + 1):
+        renamed.append(_substitute(right[k], rename, rename_powers))
+        rhs = ZERO
+        for i in range(k + 1):
+            rhs = rhs + weight(k, i) * left[i] * renamed[k - i]
+        if _substitute(right[k], at_sum, sum_powers) != rhs:
+            return k
+    return None
+
+
+def _format_terms(terms: Iterable[tuple[Poly, str]]) -> str:
+    """``c*m + ...`` for ``Series`` and ``UmbralPoly`` from (coefficient,
+    monomial text) pairs, an empty text marking the constant term."""
+    bits = []
+    for c, mtxt in terms:
+        if not mtxt:
+            bits.append(str(c))
+        elif c == ONE:
+            bits.append(mtxt)
+        elif c.is_constant:
+            bits.append(f"{c}*{mtxt}")
+        else:
+            bits.append(f"({c})*{mtxt}")
+    return " + ".join(bits) or "0"
 
 
 def as_poly(value: ScalarLike) -> Poly:

@@ -22,9 +22,9 @@ from math import comb, factorial
 from typing import Sequence, Union
 
 from .core import Alphabet, MomentSeq, UmbraError, UmbraId, UmbralPoly
-from .dot import DOT_VAR, dot_chain, dot_coeff_poly, dot_int, dot_scalar
+from .dot import dot_chain, dot_int, dot_scalar
 from .oracle import stirling1, stirling2
-from .poly import ONE, ZERO, Poly, as_poly
+from .poly import ONE, ZERO, Poly, as_poly, first_law_failure
 from .series import Series
 
 X = Poly.var("x")
@@ -169,25 +169,17 @@ def sheffer_from(alphabet: Alphabet, base: PolySeq, beta: UmbraId) -> PolySeq:
 def first_binomial_failure(seq: PolySeq, n_max: int | None = None) -> int | None:
     """Index of the first entry violating the binomial identity, or None.
 
-    Checks degrees, ``p_0 = 1``, and the exact two-variable identity
-    ``p_k(x+y) = sum_i C(k,i) p_i(x) p_{k-i}(y)``.
+    Checks ``p_0 = 1``, degrees, and the exact two-variable identity
+    ``p_k(x+y) = sum_i C(k,i) p_i(x) p_{k-i}(y)`` through
+    :func:`~umbral.poly.first_law_failure`, up to the first wrong degree.
     """
     top = seq.n_max if n_max is None else min(n_max, seq.n_max)
     if seq[0] != ONE:
         return 0
-    shifted = {0: ONE}
-    in_y = {0: ONE}
-    for k in range(1, top + 1):
-        if seq[k].degree_in("x") != k:
-            return k
-        shifted[k] = seq[k].substitute({"x": X + Y})
-        in_y[k] = seq[k].substitute({"x": Y})
-        rhs = ZERO
-        for i in range(k + 1):
-            rhs = rhs + comb(k, i) * seq[i] * in_y[k - i]
-        if shifted[k] != rhs:
-            return k
-    return None
+    bad_degree = next((k for k in range(1, top + 1) if seq[k].degree_in("x") != k), None)
+    law_top = top if bad_degree is None else bad_degree - 1
+    bad_law = first_law_failure(seq.entries, seq.entries, law_top, {"x": X + Y}, {"x": Y}, comb)
+    return bad_degree if bad_law is None else bad_law
 
 
 def validate_binomial(seq: PolySeq, n_max: int | None = None) -> bool:
@@ -315,9 +307,7 @@ def normalize(alphabet: Alphabet, seq: PolySeq) -> PolySeq:
         inv = Fraction(1, a)
         new_umbra = alphabet.register_derived(
             f"{umbra.name}/{a}",
-            MomentSeq.from_function(
-                lambda k: seq_moments.moment(k) * inv**k, "scaled"
-            ),
+            MomentSeq(lambda k: seq_moments.moment(k) * inv**k, "scaled"),
             auxiliary=False,
         )
     return PolySeq(entries, Provenance("normalized", umbra=new_umbra))
@@ -395,9 +385,7 @@ def abel_umbra_for(alphabet: Alphabet, seq: PolySeq, name: str = "abel-rep") -> 
         target = derivative_at_zero(seq[n])
         scratch = Alphabet()
         trial = scratch.register("a0", MomentSeq.from_list([*moments, ZERO]))
-        partial = dot_coeff_poly(scratch, trial, n - 1).substitute(
-            {DOT_VAR: Fraction(n)}
-        )
+        partial = dot_scalar(scratch, n, trial, n - 1)
         moments.append((target - partial) * Fraction(1, n))
     return alphabet.register_derived(
         name, MomentSeq.from_list(moments), auxiliary=False
@@ -407,17 +395,20 @@ def abel_umbra_for(alphabet: Alphabet, seq: PolySeq, name: str = "abel-rep") -> 
 def rising_umbra_for(alphabet: Alphabet, seq: PolySeq, name: str = "rising-rep") -> UmbraId:
     """Solve for the umbra putting a normalized binomial sequence in rising form.
 
-    Recursion on ``p_n'(0) = E[mu_1 (mu_1+mu_2) ...]``: the top moment
-    enters with coefficient 1.
+    Recursion on ``p_n'(0) = acc_{n-1}(0, 0)`` along the sweep of
+    :func:`rising_factorial_sequence`.  The top moment ``m_{n-1}`` enters
+    ``acc_{n-1}`` only as an added constant, so each step shifts with that
+    moment set to 0, solves for it, and adds it: one sweep in all.
     """
     _require_normalized(seq)
     moments: list[Poly] = []
+    acc = ONE
     for n in range(2, seq.n_max + 1):
-        target = derivative_at_zero(seq[n])
         scratch = Alphabet()
         trial = scratch.register("m0", MomentSeq.from_list([*moments, ZERO]))
-        partial = derivative_at_zero(rising_factorial_sequence(scratch, trial, n)[n])
-        moments.append(target - partial)
+        acc = shift_by_umbra(scratch, acc * (X + _S), trial, "s")
+        moments.append(derivative_at_zero(seq[n]) - acc.substitute({"x": ZERO, "s": ZERO}))
+        acc = acc + moments[-1]
     return alphabet.register_derived(
         name, MomentSeq.from_list(moments), auxiliary=False
     )

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence, Union
 
-from .poly import ONE, ZERO, Poly, as_poly, parse_rational, power
+from .poly import ONE, ZERO, Poly, _format_terms, as_poly, parse_rational, power
 
 CoeffLike = Union[Poly, Fraction, int]
 
@@ -251,21 +251,11 @@ class Series:
 
     def __str__(self) -> str:
         v = self._var
-        parts: list[str] = []
-        for k, c in enumerate(self._coeffs):
-            if c.is_zero:
-                continue
-            if k == 0:
-                parts.append(str(c))
-                continue
-            vp = v if k == 1 else f"{v}^{k}"
-            if c == ONE:
-                parts.append(vp)
-            elif c.is_constant:
-                parts.append(f"{c}*{vp}")
-            else:
-                parts.append(f"({c})*{vp}")
-        body = " + ".join(parts) if parts else "0"
+        body = _format_terms(
+            (c, "" if k == 0 else v if k == 1 else f"{v}^{k}")
+            for k, c in enumerate(self._coeffs)
+            if c
+        )
         return f"{body} + O({v}^{self.order + 1})"
 
     def __repr__(self) -> str:

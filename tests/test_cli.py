@@ -182,6 +182,9 @@ def test_malformed_input_exits_cleanly():
         (("from-delta", "expm1", "3", "-N", "-1"), 2, "-1"),
         (("bernoulli", "5", "-N", "3"), 2, "-N"),
         (("delta-of", "binomial", "uniform", "0"), 1, "p_1"),
+        (("eval", "--let", "x=uniform", "x^2"), 1, "'x'"),
+        (("eval", "--let", "y=const:2", "y"), 1, "'y'"),
+        (("ksequence", "uniform", "3", "--coeffs", ""), 1, "coefficient"),
     ):
         got, out, err = run_cli_captured(*args)
         assert (got, out) == (code, ""), args

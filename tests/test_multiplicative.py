@@ -136,3 +136,10 @@ def test_m_sequence_rejects_inhomogeneous(ab):
 def test_max_symbol_index():
     assert max_symbol_index(sym(3) * sym(1), "a") == 3
     assert max_symbol_index(Poly.const(2), "a") == 0
+
+
+def test_k_polynomials_reject_a_moment_symbol_named_n(ab):
+    for symbol in ("c", "n"):
+        gamma = ab.register(symbol, MomentSeq.from_list([Poly.var(symbol), 1]))
+        with pytest.raises(UmbraError):
+            k_polynomials(ab, gamma, 2)

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from umbral import (
     Alphabet,
@@ -36,6 +38,7 @@ from umbral import (
     umbral_compose,
     validate_binomial,
 )
+import umbral.sequences as sequences
 from umbral.sequences import PolySeq, Provenance
 
 X = Poly.var("x")
@@ -340,6 +343,44 @@ def test_validate_binomial_counterexample():
     assert first_binomial_failure(broken) == 2
 
 
+def _valid_sequence(kind, moments):
+    ab = Alphabet()
+    gamma = ab.register("g", MomentSeq.from_list(moments))
+    build = {"binomial": binomial_from_umbra, "abel": abel_sequence, "rising": rising_factorial_sequence}
+    return build[kind](ab, gamma, 5).entries
+
+
+_law_defects = st.integers(0, 5).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.sampled_from([0, *range(2, k + 1)]),
+        st.fractions(-3, 3, max_denominator=3).filter(bool),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["binomial", "abel", "rising"]),
+    st.lists(st.fractions(-3, 3, max_denominator=3), min_size=5, max_size=5),
+    st.fractions(1, 3, max_denominator=3),
+    _law_defects,
+    st.none() | st.integers(0, 5),
+)
+def test_first_binomial_failure_finds_the_first_defect(kind, moments, m1, law, degree_at):
+    """``c x^d`` with ``d = 0`` or ``2 <= d <= k`` breaks the law exactly at
+    entry k (``c x`` would not); ``x^{j+1}`` breaks the degree at j."""
+    entries = list(_valid_sequence(kind, [m1, *moments]))
+    assert first_binomial_failure(PolySeq(tuple(entries), Provenance("manual"))) is None
+    k, d, c = law
+    entries[k] = entries[k] + c * X**d
+    expected = k
+    if degree_at is not None:
+        entries[degree_at] = entries[degree_at] + X ** (degree_at + 1)
+        expected = min(k, degree_at)
+    assert first_binomial_failure(PolySeq(tuple(entries), Provenance("manual"))) == expected
+
+
 def test_validate_powers():
     seq = PolySeq(tuple(powers_of_x(6)), Provenance("manual"))
     assert validate_binomial(seq)
@@ -551,6 +592,29 @@ def test_abel_and_rising_solvers(ab):
     assert abel_sequence(ab, alpha, 6).entries == seq.entries
     mu = rising_umbra_for(ab, seq)
     assert rising_factorial_sequence(ab, mu, 6).entries == seq.entries
+
+
+def test_abel_solver_keeps_a_moment_symbol_named_n(ab):
+    alpha = ab.register("alpha", MomentSeq.from_list([Poly.var("n"), Poly.var("d"), 3]))
+    rep = abel_umbra_for(ab, abel_sequence(ab, alpha, 4))
+    assert ab.moments(rep, 3)[1:] == [Poly.var("n"), Poly.var("d"), Poly.const(3)]
+
+
+def test_rising_solver_runs_one_sweep(ab, monkeypatch):
+    calls = []
+    original = sequences.shift_by_umbra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    one = ab.register("one", MomentSeq.constant(1))
+    seq = rising_factorial_sequence(ab, one, 8)
+    monkeypatch.setattr(sequences, "shift_by_umbra", counted)
+    mu = rising_umbra_for(ab, seq)
+    assert len(calls) == 8 - 1
+    monkeypatch.undo()
+    assert rising_factorial_sequence(ab, mu, 8).entries == seq.entries
 
 
 def test_solvers_require_normalized(ab):
