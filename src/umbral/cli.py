@@ -53,8 +53,10 @@ _SEQ_BUILDERS = {
 # Tiny umbral-expression grammar for `eval`
 # ---------------------------------------------------------------------------
 
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>-?\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^().]))"
+    rf"\s*(?:(?P<number>-?\d+(?:/\d+)?)|(?P<name>{_NAME})|(?P<op>[-+*^().]))"
 )
 
 _BUILTIN_LETS = {
@@ -225,9 +227,9 @@ def _cmd_eval(args) -> int:
     lets: dict[str, str] = {}
     for pair in args.let or []:
         name, _, spec = pair.partition("=")
-        if not name or not spec:
-            raise UmbraError(f"malformed --let binding: {pair!r}")
         name = name.strip()
+        if not re.fullmatch(_NAME, name) or not spec:
+            raise UmbraError(f"malformed --let binding: {pair!r}")
         if name in _SCALAR_NAMES:
             raise UmbraError(f"--let cannot bind {name!r}: x and y are ground-ring variables")
         lets[name] = spec.strip()

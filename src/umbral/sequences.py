@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .core import Alphabet, MomentSeq, UmbraError, UmbraId, UmbralPoly
 from .dot import dot_chain, dot_int, dot_scalar
@@ -29,7 +29,6 @@ from .series import Series
 
 X = Poly.var("x")
 Y = Poly.var("y")
-_S = Poly.var("s")
 
 
 @dataclass(frozen=True)
@@ -123,14 +122,16 @@ def rising_factorial_sequence(alphabet: Alphabet, mu: UmbraId, n_max: int) -> Po
     obeys ``acc_{t+1}(x, s) = E[acc_t(x, s+mu) (x+s+mu)]`` because the
     increments are i.i.d., so one sweep averages out one increment per step
     and serves every entry, ``p_n = x acc_{n-1}(x, 0)``, with no clone
-    registered.
+    registered.  The sweep reads the moments ``1 .. n_max-1``, and ``s`` is
+    renamed if one of them carries it.
     """
+    s = _fresh_var(alphabet.moment(mu, i) for i in range(1, n_max))
     entries = [ONE]
     acc = ONE
     for n in range(1, n_max + 1):
         if n > 1:
-            acc = shift_by_umbra(alphabet, acc * (X + _S), mu, "s")
-        entries.append(X * acc.coefficient_of("s", 0))
+            acc = shift_by_umbra(alphabet, acc * (X + Poly.var(s)), mu, s)
+        entries.append(X * acc.coefficient_of(s, 0))
     return PolySeq(tuple(entries), Provenance("rising", parameter=mu))
 
 
@@ -401,17 +402,28 @@ def rising_umbra_for(alphabet: Alphabet, seq: PolySeq, name: str = "rising-rep")
     moment set to 0, solves for it, and adds it: one sweep in all.
     """
     _require_normalized(seq)
+    s = _fresh_var(seq.entries)
     moments: list[Poly] = []
     acc = ONE
     for n in range(2, seq.n_max + 1):
         scratch = Alphabet()
         trial = scratch.register("m0", MomentSeq.from_list([*moments, ZERO]))
-        acc = shift_by_umbra(scratch, acc * (X + _S), trial, "s")
-        moments.append(derivative_at_zero(seq[n]) - acc.substitute({"x": ZERO, "s": ZERO}))
+        acc = shift_by_umbra(scratch, acc * (X + Poly.var(s)), trial, s)
+        moments.append(derivative_at_zero(seq[n]) - acc.substitute({"x": ZERO, s: ZERO}))
         acc = acc + moments[-1]
     return alphabet.register_derived(
         name, MomentSeq.from_list(moments), auxiliary=False
     )
+
+
+def _fresh_var(polys: Iterable[Poly]) -> str:
+    """``s``, else ``s_1``, ``s_2``, ...: the first name none of ``polys`` carries."""
+    used = frozenset().union(*(p.variables() for p in polys))
+    name, k = "s", 0
+    while name in used:
+        k += 1
+        name = f"s_{k}"
+    return name
 
 
 def _require_normalized(seq: PolySeq) -> None:

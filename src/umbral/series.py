@@ -11,6 +11,13 @@ families (generic moments, the formal argument ``n``) work exactly like
 rational ones; ``exp``/``log``/``reciprocal`` require the relevant
 constant term to be a plain rational, which is all the ring of
 polynomial coefficients can invert.
+
+Everything past the ring operations costs O(N^2) or O(N^3) coefficient
+products: ``reciprocal`` solves one coefficient at a time, ``exp`` and
+``log`` run their derivative recurrences, ``comp_inverse`` is Lagrange
+inversion over one running power, and ``compose`` is Horner's rule (Brent
+& Kung, *Fast algorithms for manipulating formal power series*, J. ACM
+1978).
 """
 
 from __future__ import annotations
@@ -171,34 +178,56 @@ class Series:
         return acc
 
     def exp(self) -> "Series":
-        """Exponential of a series with constant term exactly 0."""
+        """Exponential of a series with constant term exactly 0.
+
+        From ``e' = f' e``: ``e_0 = 1`` and ``k e_k = sum_{j<=k} j f_j e_{k-j}``,
+        O(N^2) coefficient products.
+        """
         if self._coeffs[0] != ZERO:
             raise ValueError("exp requires constant term 0")
-        return exp_series(self.order, self._var).compose(self)
+        df = [c * j for j, c in enumerate(self._coeffs)]
+        e = [ONE]
+        for k in range(1, self.order + 1):
+            acc = ZERO
+            for j in range(1, k + 1):
+                if df[j] and e[k - j]:
+                    acc = acc + df[j] * e[k - j]
+            e.append(acc * Fraction(1, k))
+        return Series(e, self._var)
 
     def log(self) -> "Series":
-        """Logarithm of a series with constant term exactly 1."""
+        """Logarithm of a series with constant term exactly 1.
+
+        ``log f = integral of f'/f``: one reciprocal and one product,
+        integrated term by term, O(N^2).
+        """
         if self._coeffs[0] != ONE:
             raise ValueError("log requires constant term 1")
-        return log1p_series(self.order, self._var).compose(self - 1)
+        if self.order == 0:
+            return Series.constant(0, 0, self._var)
+        quotient = self.derivative() * self.truncate(self.order - 1).reciprocal()
+        return Series(
+            [ZERO] + [c * Fraction(1, k) for k, c in enumerate(quotient._coeffs, 1)],
+            self._var,
+        )
 
     def comp_inverse(self) -> "Series":
         """Compositional inverse of a delta series (``f(0)=0``, ``f'(0)`` invertible).
 
-        Solves ``f(h(v)) = v`` one coefficient at a time; the roundtrips
-        ``f(h) = h(f) = v`` then hold exactly to the truncation order.
+        Lagrange inversion: with ``q = v/f``, ``h_k = [v^{k-1}] q^k / k``.  One
+        running power of ``q`` makes N series products, O(N^3) in all; the
+        roundtrips ``f(h) = h(f) = v`` hold exactly to the truncation order.
         """
         if self._coeffs[0] != ZERO:
             raise ValueError("compositional inverse requires a delta series (f(0)=0)")
-        f1 = self._coeffs[1].as_rational()
-        if f1 == 0:
+        if self.coeff(1).as_rational() == 0:
             raise ValueError("compositional inverse requires f'(0) != 0")
-        n = self.order
-        inv1 = Fraction(1) / f1
-        h = [ZERO, Poly.const(inv1)] + [ZERO] * (n - 1)
-        for k in range(2, n + 1):
-            residue = self.compose(Series(h, self._var)).coeff(k)
-            h[k] = residue * (-inv1)
+        q = self.shift_down().reciprocal()
+        qk = q
+        h = [ZERO, q._coeffs[0]]
+        for k in range(2, self.order + 1):
+            qk = qk * q
+            h.append(qk._coeffs[k - 1] * Fraction(1, k))
         return Series(h, self._var)
 
     # -- calculus ---------------------------------------------------------------

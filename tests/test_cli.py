@@ -185,6 +185,8 @@ def test_malformed_input_exits_cleanly():
         (("eval", "--let", "x=uniform", "x^2"), 1, "'x'"),
         (("eval", "--let", "y=const:2", "y"), 1, "'y'"),
         (("ksequence", "uniform", "3", "--coeffs", ""), 1, "coefficient"),
+        (("eval", "--let", " =uniform", "x"), 1, "' =uniform'"),
+        (("eval", "--let", "a b=uniform", "x"), 1, "'a b=uniform'"),
     ):
         got, out, err = run_cli_captured(*args)
         assert (got, out) == (code, ""), args

@@ -600,6 +600,19 @@ def test_abel_solver_keeps_a_moment_symbol_named_n(ab):
     assert ab.moments(rep, 3)[1:] == [Poly.var("n"), Poly.var("d"), Poly.const(3)]
 
 
+def test_rising_keeps_a_moment_symbol_named_s(ab):
+    # The sweep's own shift variable is s; a moment carrying s must not be
+    # mixed into it.  Oracle: the same moments under the name t, renamed.
+    named_t = ab.register("t", MomentSeq.from_list([Poly.var("t"), 1, 1]))
+    expected = [p.substitute({"t": Poly.var("s")}) for p in rising_factorial_sequence(ab, named_t, 4)]
+    named_s = ab.register("s", MomentSeq.from_list([Poly.var("s"), 1, 1]))
+    seq = rising_factorial_sequence(ab, named_s, 4)
+    assert seq[2] == Poly.var("s") * X + X**2
+    assert list(seq.entries) == expected
+    rep = rising_umbra_for(ab, seq)
+    assert ab.moments(rep, 3)[1:] == [Poly.var("s"), Poly.const(1), Poly.const(1)]
+
+
 def test_rising_solver_runs_one_sweep(ab, monkeypatch):
     calls = []
     original = sequences.shift_by_umbra

@@ -1,6 +1,8 @@
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -16,7 +18,7 @@ from umbral import (
     series_from_spec,
 )
 
-from conftest import delta_series, unit_series
+from conftest import delta_series, nonzero_rationals, rationals, unit_series
 
 X = Poly.var("x")
 
@@ -35,6 +37,80 @@ def reciprocal_oracle(coeffs):
             acc += coeffs[i] * inv[k - i]
         inv.append(-acc / coeffs[0])
     return inv
+
+
+def comp_inverse_oracle(f):
+    """Solve ``f(h) = v`` coefficient by coefficient: ``h_k = -[v^k] f(h_{<k}) / f_1``."""
+    n = f.order
+    inv1 = 1 / f.coeff(1).as_rational()
+    h = [Poly.const(0), Poly.const(inv1)] + [Poly.const(0)] * (n - 1)
+    for k in range(2, n + 1):
+        h[k] = f.compose(Series(h)).coeff(k) * (-inv1)
+    return Series(h)
+
+
+def exp_oracle(f):
+    return exp_series(f.order).compose(f)
+
+
+def log_oracle(f):
+    return log1p_series(f.order).compose(f - 1)
+
+
+@st.composite
+def oracle_series(draw, constant, min_order=0, rational_up_to=0):
+    """Order 0-10 and constant term ``constant``.  The coefficients up to
+    ``rational_up_to`` are nonzero rationals; the later ones are all
+    rationals ``c`` or all symbolic ``c*a_k``."""
+    order = draw(st.integers(min_value=min_order, max_value=10))
+    symbolic = draw(st.booleans())
+    cs = [Poly.const(constant)]
+    for k in range(1, order + 1):
+        if k <= rational_up_to:
+            cs.append(Poly.const(draw(nonzero_rationals)))
+        else:
+            c = draw(rationals)
+            cs.append(Poly.var(f"a_{k}") * c if symbolic else Poly.const(c))
+    return Series(cs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(oracle_series(0, min_order=1, rational_up_to=1))
+def test_comp_inverse_matches_coefficientwise_solve(f):
+    assert f.comp_inverse() == comp_inverse_oracle(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_series(0))
+def test_exp_matches_composition(f):
+    assert f.exp() == exp_oracle(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_series(1))
+def test_log_matches_composition(f):
+    assert f.log() == log_oracle(f)
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 16])
+def test_series_algorithms_make_no_composition(order, monkeypatch):
+    # Op counts are deterministic: a return to one composition per
+    # coefficient fails here, where a timing would only be flaky.
+    calls = Counter()
+    for name in ("compose", "__mul__"):
+        original = getattr(Series, name)
+
+        def counted(self, other, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(Series, name, counted)
+    f = Series([0, Fraction(3, 2)] + [Fraction(k, k + 2) for k in range(2, order + 1)])
+    f.comp_inverse()
+    assert calls["compose"] == 0 and calls["__mul__"] <= order + 1
+    f.exp()
+    (f + 1).log()
+    assert calls["compose"] == 0
 
 
 def test_mul_basic():
@@ -141,6 +217,10 @@ def test_comp_inverse_rejects_bad_input():
         Series([1, 1, 0]).comp_inverse()
     with pytest.raises(ValueError):
         Series([0, 0, 1]).comp_inverse()
+    with pytest.raises(ValueError):
+        Series([0]).comp_inverse()
+    with pytest.raises(ValueError):
+        Series([0, Poly.var("a_1"), 1]).comp_inverse()
 
 
 def test_apply_operator_series():

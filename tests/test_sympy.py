@@ -38,10 +38,10 @@ def rationals(s: Series) -> list[Fraction]:
     return [c.as_rational() for c in s.coefficients]
 
 
-def seeded_series(seed: int, constant: int) -> list[Fraction]:
+def seeded_series(seed: int, constant: int, order: int = ORDER) -> list[Fraction]:
     rng = random.Random(seed)
     return [Fraction(constant)] + [
-        Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ORDER)
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(order)
     ]
 
 
@@ -55,9 +55,9 @@ def ring_series(cs: list[Fraction]):
     return sum((QQ(c.numerator, c.denominator) * t**k for k, c in enumerate(cs)), R.zero)
 
 
-def ring_coeffs(p, gen) -> list[Fraction]:
+def ring_coeffs(p, gen, order: int = ORDER) -> list[Fraction]:
     n = R.gens.index(gen)
-    out = [Fraction(0)] * (ORDER + 1)
+    out = [Fraction(0)] * (order + 1)
     for monom, c in p.terms():
         out[monom[n]] = Fraction(int(c.numerator), int(c.denominator))
     return out
@@ -99,6 +99,21 @@ def test_exp_and_log(seed):
     assert rationals(Series(g).exp()) == ring_coeffs(rs_exp(ring_series(g), t, ORDER + 1), t)
     u = seeded_series(seed + 10, 1)
     assert rationals(Series(u).log()) == ring_coeffs(rs_log(ring_series(u), t, ORDER + 1), t)
+
+
+def test_series_algorithms_at_order_30():
+    # Order 30 is in reach since comp_inverse is Lagrange inversion and
+    # exp/log run their derivative recurrences.
+    order = 30
+    f = seeded_series(30, 0, order)
+    f[1] = f[1] or Fraction(1)
+    expected = rs_series_reversion(ring_series(f), t, order + 1, y)
+    assert rationals(Series(f).comp_inverse()) == ring_coeffs(expected, y, order)
+    expected = rs_exp(ring_series(f), t, order + 1)
+    assert rationals(Series(f).exp()) == ring_coeffs(expected, t, order)
+    u = seeded_series(31, 1, order)
+    expected = rs_log(ring_series(u), t, order + 1)
+    assert rationals(Series(u).log()) == ring_coeffs(expected, t, order)
 
 
 def test_stirling_numbers():
