@@ -479,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UmbraError, ValueError) as exc:
+    except (UmbraError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Callable, Mapping, Sequence, Union
 
 from .poly import ONE, ZERO, Poly, _format_terms, _mul_monomials, as_poly, parse_rational, power
-from .series import Series, series_from_spec
+from .series import series_from_spec
 
 
 class UmbraError(ValueError):
@@ -41,8 +41,8 @@ class MomentSeq:
 
     The zeroth moment is always 1.  Sequences may come from a closed form,
     an explicit finite list (requesting a moment beyond the list is an
-    error, never a silent zero), symbolic families, a truncated EGF, or a
-    derived rule such as the additive-inverse recursion.
+    error, never a silent zero), symbolic families, cumulants, or a derived
+    rule such as the additive-inverse recursion.
     """
 
     __slots__ = ("_fn", "_memo", "description", "dot_table")
@@ -103,21 +103,6 @@ class MomentSeq:
     def generic(cls, prefix: str = "a") -> "MomentSeq":
         """Symbolic moments ``prefix_1, prefix_2, ...`` as polynomial symbols."""
         return cls(lambda k: Poly.var(f"{prefix}_{k}"), f"generic:{prefix}")
-
-    @classmethod
-    def from_egf(cls, egf: Series) -> "MomentSeq":
-        """Moments ``k! [z^k] egf``; beyond the truncation order is an error."""
-        if egf.coeff(0) != ONE:
-            raise UmbraError("an EGF of moments must have constant term 1")
-
-        def fn(k: int) -> Poly:
-            if k > egf.order:
-                raise UmbraError(
-                    f"moment {k} exceeds the EGF truncation order {egf.order}"
-                )
-            return egf.coeff(k) * factorial(k)
-
-        return cls(fn, "egf")
 
     @classmethod
     def inverse_of(cls, other: "MomentSeq") -> "MomentSeq":

@@ -6,12 +6,15 @@ add over independent sums, so ``q_k`` follows from the cumulants
 ``kappa_j`` of ``alpha`` by one linear recurrence (the cumulant umbra of
 Di Nardo and Senato):
 
-    kappa_k = m_k - sum_{j<k} C(k-1, j-1) kappa_j m_{k-j}
-    q_k(n)  = n * sum_{j<=k} C(k-1, j-1) kappa_j q_{k-j}(n),   q_0 = 1.
+    q_k(n) = n * sum_{j<=k} C(k-1, j-1) kappa_j q_{k-j}(n),   q_0 = 1,
 
-Each operand keeps one table of moments, cumulants and the coefficients
-of ``q_k`` in powers of ``n``, extended only as far as a caller asks, so
-moment k is requested only when ``q_k`` is needed.  An umbra's table lives
+and ``q_k(1) = m_k`` fixes ``kappa_k``.  The rows are the binomial-type
+sequence ``E[(x.alpha)^k]``, so a table seeded with cumulants builds any
+such sequence.
+
+Each operand keeps one table of cumulants and the coefficients of ``q_k``
+in powers of ``n``, extended only as far as a caller asks, so moment k is
+requested only when ``q_k`` is needed.  An umbra's table lives
 on its :class:`~umbral.core.MomentSeq` (and dies with its alphabet); an
 umbral-polynomial operand gets a table local to the call.  Substituting an
 umbra's moments for the powers of ``n`` defines the umbral dot ``p.q``,
@@ -57,20 +60,29 @@ def egf_of(alphabet: Alphabet, operand: OperandLike, order: int, var: str = "z")
 
 
 class _DotTable:
-    """Moments, cumulants and dot-coefficient polynomials of one operand.
+    """Cumulants and dot-coefficient polynomials of one operand.
 
-    ``coeffs(k)`` holds the coefficients of ``q_k(n)`` in powers of ``n``;
-    rows are appended one index at a time, each asking for exactly one new
-    moment.
+    ``coeffs(k)`` holds the coefficients of ``q_k(n)`` in powers of ``n``.
+    Row k is summed over the cumulants below k, ``seed(k, partial)`` turns
+    that partial row into ``kappa_k``, and ``kappa_k`` enters as
+    ``kappa_k n``: seeded with moments, ``kappa_k = m_k - partial(1)``;
+    seeded with cumulants, the moments are the row sums ``q_k(1)``.
     """
 
-    __slots__ = ("_moment", "_moments", "_kappa", "_q")
+    __slots__ = ("_seed", "_kappa", "_q")
 
-    def __init__(self, moment: MomentFn):
-        self._moment = moment
-        self._moments: list[Poly] = [ONE]
+    def __init__(self, seed: Callable[[int, list[Poly]], Poly]):
+        self._seed = seed
         self._kappa: list[Poly] = [ZERO]
         self._q: list[tuple[Poly, ...]] = [(ONE,)]
+
+    @classmethod
+    def of_moments(cls, moment: MomentFn) -> "_DotTable":
+        return cls(lambda k, partial: moment(k) - sum(partial, ZERO))
+
+    @classmethod
+    def of_cumulants(cls, kappa: MomentFn) -> "_DotTable":
+        return cls(lambda k, partial: kappa(k))
 
     def coeffs(self, k: int) -> tuple[Poly, ...]:
         """``(c_0, ..., c_k)`` with ``q_k(n) = sum_i c_i n^i``."""
@@ -80,24 +92,36 @@ class _DotTable:
             self._extend()
         return self._q[k]
 
+    def moment(self, k: int) -> Poly:
+        """``m_k = q_k(1)``."""
+        return sum(self.coeffs(k), ZERO)
+
+    def at(self, k: int, s: Poly) -> Poly:
+        """``q_k(s)`` for a ground-ring element ``s``."""
+        return _combine(self.coeffs(k), lambda i: s**i)
+
     def _extend(self) -> None:
         k = len(self._q)
-        ms, kappa, q = self._moments, self._kappa, self._q
-        ms.append(self._moment(k))
-        acc = ms[k]
-        for j in range(1, k):
-            if kappa[j] and ms[k - j]:
-                acc = acc - kappa[j] * ms[k - j] * comb(k - 1, j - 1)
-        kappa.append(acc)
+        kappa, q = self._kappa, self._q
         row = [ZERO] * (k + 1)
-        for j in range(1, k + 1):
+        for j in range(1, k):
             if not kappa[j]:
                 continue
             w = kappa[j] * comb(k - 1, j - 1)
             for i, c in enumerate(q[k - j]):
                 if c:
                     row[i + 1] = row[i + 1] + w * c
+        kappa.append(self._seed(k, row))
+        row[1] = row[1] + kappa[k]
         q.append(tuple(row))
+
+
+def _cumulant_seq(kappas: Sequence[Poly], description: str) -> MomentSeq:
+    """Moments with cumulants ``kappas`` (``kappa_1`` first), their table in place."""
+    table = _DotTable.of_cumulants(MomentSeq.from_list(kappas).moment)
+    seq = MomentSeq(table.moment, description)
+    seq.dot_table = table
+    return seq
 
 
 def _table(alphabet: Alphabet, operand: OperandLike) -> _DotTable:
@@ -105,9 +129,9 @@ def _table(alphabet: Alphabet, operand: OperandLike) -> _DotTable:
     if isinstance(operand, UmbraId):
         seq = alphabet.moment_seq(operand)
         if seq.dot_table is None:
-            seq.dot_table = _DotTable(seq.moment)
+            seq.dot_table = _DotTable.of_moments(seq.moment)
         return seq.dot_table
-    return _DotTable(_operand_moments(alphabet, operand))
+    return _DotTable.of_moments(_operand_moments(alphabet, operand))
 
 
 def _combine(coeffs: tuple[Poly, ...], power: MomentFn) -> Poly:
@@ -153,7 +177,7 @@ def dot_coeff_poly(alphabet: Alphabet, gamma: OperandLike, k: int, var: str = DO
     most ``k``, and the coefficient ``q_0 = 1`` at ``k = 0``.
     """
     _require_base(alphabet, gamma, "dot")
-    return _combine(_table(alphabet, gamma).coeffs(k), lambda i: Poly.var(var, i))
+    return _table(alphabet, gamma).at(k, Poly.var(var))
 
 
 def dot_scalar(alphabet: Alphabet, scalar: Union[Poly, Fraction, int], gamma: UmbraId, k: int) -> Poly:
@@ -163,8 +187,7 @@ def dot_scalar(alphabet: Alphabet, scalar: Union[Poly, Fraction, int], gamma: Um
     ``s`` directly.
     """
     _require_base(alphabet, gamma, "dot")
-    s = as_poly(scalar)
-    return _combine(_table(alphabet, gamma).coeffs(k), lambda i: s**i)
+    return _table(alphabet, gamma).at(k, as_poly(scalar))
 
 
 def _dot_momentseq(alphabet: Alphabet, left: OperandLike, right: OperandLike) -> MomentSeq:
@@ -200,13 +223,9 @@ def dot_int(alphabet: Alphabet, n: int, operand: OperandLike) -> UmbraId:
         raise UmbraError("dot_int takes a Python integer multiplier")
     _require_base(alphabet, operand, "dot")
     table = _table(alphabet, operand)
-    m = Fraction(n)
-
-    def fn(k: int) -> Poly:
-        return _combine(table.coeffs(k), lambda i: Poly.const(m**i))
-
     name = f"{n}.{_operand_label(operand)}"
-    return alphabet.register_derived(name, MomentSeq(fn, name), auxiliary=True)
+    moments = MomentSeq(lambda k: table.at(k, Poly.const(n)), name)
+    return alphabet.register_derived(name, moments, auxiliary=True)
 
 
 def dot_chain(alphabet: Alphabet, operands: Sequence[OperandLike]) -> UmbraId:

@@ -1,9 +1,10 @@
 """Brute-force combinatorial ground truth.
 
-Stirling numbers by recurrence, iterated forward differences of powers by
-the alternating sum, and colored-forest counts by explicit enumeration of
-parent functions.  Nothing here touches the series machinery: these are
-the independent oracles the algebraic routes are tested against.
+Stirling numbers by iterating the rows of their triangles, iterated
+forward differences of powers by the alternating sum, and colored-forest
+counts by explicit enumeration of parent functions.  Nothing here touches
+the series machinery: these are the independent oracles the algebraic
+routes are tested against.
 """
 
 from __future__ import annotations
@@ -16,41 +17,28 @@ from math import comb
 FOREST_SCALE_LIMIT = 8
 
 
-@lru_cache(maxsize=None)
-def _s2(n: int, k: int) -> int:
-    if k > n or k < 0:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return k * _s2(n - 1, k) + _s2(n - 1, k - 1)
+def _triangle(name: str, n: int, k: int, weight) -> int:
+    """Entry (n, k) of the triangle ``t(m+1, j) = t(m, j-1) + weight(m, j) t(m, j)``,
+    ``t(0, 0) = 1``, by iterating its rows up to column k."""
+    if k < 0 or k > n:
+        raise ValueError(f"{name} out of range: ({n}, {k})")
+    row = [1] + [0] * k
+    for m in range(n):
+        for j in range(k, 0, -1):
+            row[j] = row[j - 1] + weight(m, j) * row[j]
+        row[0] = 0
+    return row[k]
 
 
 def stirling2(n: int, k: int) -> int:
     """Set partitions of an n-set into k blocks: S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
-    if k < 0 or k > n:
-        raise ValueError(f"stirling2 out of range: ({n}, {k})")
-    return _s2(n, k)
-
-
-@lru_cache(maxsize=None)
-def _s1(n: int, k: int) -> int:
-    if k > n or k < 0:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return _s1(n - 1, k - 1) - (n - 1) * _s1(n - 1, k)
+    return _triangle("stirling2", n, k, lambda m, j: j)
 
 
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling numbers of the first kind: coefficients of the
     falling factorial, x(x-1)...(x-n+1) = sum_k s(n,k) x^k."""
-    if k < 0 or k > n:
-        raise ValueError(f"stirling1 out of range: ({n}, {k})")
-    return _s1(n, k)
+    return _triangle("stirling1", n, k, lambda m, j: -m)
 
 
 def forward_difference_power(m: int, n: int) -> int:

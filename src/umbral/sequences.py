@@ -1,17 +1,19 @@
 """Binomial-type, Appell, and Sheffer polynomial sequences.
 
-Constructors realize the three umbral presentations of binomial type
-(coefficient polynomials of ``x.gamma``, the generalized Abel form
-``x(x + n.alpha)^{n-1}``, and the generalized rising factorial over
-i.i.d. increments), plus Appell sequences ``E[(x+alpha)^n]`` and Sheffer
-shifts ``E[p_n(x+beta)]``.  All but the first average their umbra out of a
-shifted argument through the one primitive :func:`shift_by_umbra`.  Each
-sequence travels with its delta operator:
-``delta_operator_of`` inverts the derivative-at-zero series, and the
-transfer and Rodrigues formulas rebuild entries operator-side.
+A binomial-type sequence ``p_n(x) = E[(x.gamma)^n]`` is fixed by the
+cumulants ``p_n'(0)`` of ``gamma``.  Each of its presentations (``x.gamma``,
+the generalized Abel form ``x(x + n.alpha)^{n-1}``, the generalized rising
+factorial over i.i.d. increments, a delta series, derivative targets)
+computes its own cumulants and builds the entries by the one row
+recurrence of the dot table.  Appell sequences ``E[(x+alpha)^n]`` and
+Sheffer shifts ``E[p_n(x+beta)]`` average their umbra out of a shifted
+argument through :func:`shift_by_umbra`.  Each sequence travels with its
+delta operator: ``delta_operator_of`` inverts the derivative-at-zero
+series, and the transfer and Rodrigues formulas rebuild entries
+operator-side.
 
-Everything is exact; validators check the defining identities as
-polynomial identities in two variables rather than at sampled points.
+Everything is exact, and checked as polynomial identities rather than at
+sampled points.
 """
 
 from __future__ import annotations
@@ -19,16 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import Alphabet, MomentSeq, UmbraError, UmbraId, UmbralPoly
-from .dot import dot_chain, dot_int, dot_scalar
+from .dot import _DotTable, _cumulant_seq, dot_chain, dot_scalar
 from .oracle import stirling1, stirling2
-from .poly import ONE, ZERO, Poly, as_poly, first_law_failure
+from .poly import ONE, ZERO, Poly, as_poly
 from .series import Series
 
 X = Poly.var("x")
-Y = Poly.var("y")
 
 
 @dataclass(frozen=True)
@@ -105,34 +106,35 @@ def binomial_from_umbra(
     return PolySeq(tuple(entries), Provenance(kind, umbra=gamma))
 
 
+def _from_cumulants(kappa: Callable[[int], Poly], n_max: int) -> tuple[Poly, ...]:
+    """Entries ``0 .. n_max`` of the binomial-type sequence with ``p_k'(0) = kappa(k)``."""
+    rows = _DotTable.of_cumulants(kappa)
+    return tuple(rows.at(n, X) for n in range(n_max + 1))
+
+
 def abel_sequence(alphabet: Alphabet, alpha: UmbraId, n_max: int) -> PolySeq:
-    """The generalized Abel presentation ``p_n(x) = E[x (x + n.alpha)^{n-1}]``."""
-    entries = [ONE] + [
-        X * shift_by_umbra(alphabet, X ** (n - 1), dot_int(alphabet, n, alpha))
-        for n in range(1, n_max + 1)
-    ]
-    return PolySeq(tuple(entries), Provenance("abel", parameter=alpha))
+    """The generalized Abel presentation ``p_n(x) = E[x (x + n.alpha)^{n-1}]``,
+    built from its cumulants ``p_n'(0) = E[(n.alpha)^{n-1}]``."""
+    entries = _from_cumulants(lambda n: dot_scalar(alphabet, n, alpha, n - 1), n_max)
+    return PolySeq(entries, Provenance("abel", parameter=alpha))
 
 
 def rising_factorial_sequence(alphabet: Alphabet, mu: UmbraId, n_max: int) -> PolySeq:
     """The presentation ``p_n(x) = E[x (x+mu_1) (x+mu_1+mu_2) ...]``.
 
     The ``mu_i`` are independent copies of ``mu``.  With
-    ``S_j = mu_1 + ... + mu_j``, ``acc_t(x, s) = E[(x+s+S_1) ... (x+s+S_t)]``
-    obeys ``acc_{t+1}(x, s) = E[acc_t(x, s+mu) (x+s+mu)]`` because the
-    increments are i.i.d., so one sweep averages out one increment per step
-    and serves every entry, ``p_n = x acc_{n-1}(x, 0)``, with no clone
-    registered.  The sweep reads the moments ``1 .. n_max-1``, and ``s`` is
-    renamed if one of them carries it.
+    ``S_j = mu_1 + ... + mu_j``, ``a_t(s) = E[(s+S_1) ... (s+S_t)]`` obeys
+    ``a_{t+1}(s) = E[a_t(s+mu) (s+mu)]`` because the increments are i.i.d.,
+    so one sweep in ``s`` gives every cumulant ``p_n'(0) = a_{n-1}(0)``,
+    with no clone registered.  The sweep reads the moments ``1 .. n_max-1``,
+    and ``s`` is renamed if one of them carries it.
     """
     s = _fresh_var(alphabet.moment(mu, i) for i in range(1, n_max))
-    entries = [ONE]
-    acc = ONE
-    for n in range(1, n_max + 1):
-        if n > 1:
-            acc = shift_by_umbra(alphabet, acc * (X + Poly.var(s)), mu, s)
-        entries.append(X * acc.coefficient_of(s, 0))
-    return PolySeq(tuple(entries), Provenance("rising", parameter=mu))
+    sweep = [ONE]
+    for _ in range(2, n_max + 1):
+        sweep.append(shift_by_umbra(alphabet, sweep[-1] * Poly.var(s), mu, s))
+    entries = _from_cumulants(lambda k: sweep[k - 1].coefficient_of(s, 0), n_max)
+    return PolySeq(entries, Provenance("rising", parameter=mu))
 
 
 def appell_from(alphabet: Alphabet, alpha: UmbraId, n_max: int) -> PolySeq:
@@ -170,16 +172,18 @@ def sheffer_from(alphabet: Alphabet, base: PolySeq, beta: UmbraId) -> PolySeq:
 def first_binomial_failure(seq: PolySeq, n_max: int | None = None) -> int | None:
     """Index of the first entry violating the binomial identity, or None.
 
-    Checks ``p_0 = 1``, degrees, and the exact two-variable identity
-    ``p_k(x+y) = sum_i C(k,i) p_i(x) p_{k-i}(y)`` through
-    :func:`~umbral.poly.first_law_failure`, up to the first wrong degree.
+    Checks ``p_0 = 1``, the degrees, and then each entry against the one
+    rebuilt from the cumulants ``p_k'(0)``.  The first mismatch is the first
+    failure of ``p_k(x+y) = sum_i C(k,i) p_i(x) p_{k-i}(y)``: once the
+    entries below k pass, that law fixes ``p_k`` up to ``c x``.
     """
     top = seq.n_max if n_max is None else min(n_max, seq.n_max)
     if seq[0] != ONE:
         return 0
     bad_degree = next((k for k in range(1, top + 1) if seq[k].degree_in("x") != k), None)
     law_top = top if bad_degree is None else bad_degree - 1
-    bad_law = first_law_failure(seq.entries, seq.entries, law_top, {"x": X + Y}, {"x": Y}, comb)
+    rows = _from_cumulants(lambda k: derivative_at_zero(seq[k]), law_top)
+    bad_law = next((k for k in range(1, law_top + 1) if rows[k] != seq[k]), None)
     return bad_degree if bad_law is None else bad_law
 
 
@@ -193,7 +197,7 @@ def validate_binomial(seq: PolySeq, n_max: int | None = None) -> bool:
 
 
 def derivative_at_zero(p: Poly, var: str = "x") -> Poly:
-    return p.derivative(var).substitute({var: ZERO})
+    return p.coefficient_of(var, 1)
 
 
 def delta_operator_of(seq: PolySeq, order: int | None = None) -> Series:
@@ -228,8 +232,8 @@ def apply_delta(f: Series, p: Poly, var: str = "x") -> Poly:
 def sequence_from_delta(alphabet: Alphabet, f: Series, n_max: int) -> PolySeq:
     """The binomial-type sequence associated to a delta series.
 
-    The representing umbra has EGF ``exp`` of the compositional inverse of
-    ``f``; this is the exact inverse of :func:`delta_operator_of`.
+    The representing umbra has cumulants ``k! [t^k] f^{<-1>}``; this is the
+    exact inverse of :func:`delta_operator_of`.
     """
     if f.order < n_max:
         raise ValueError("series order too low for the requested entries")
@@ -237,10 +241,9 @@ def sequence_from_delta(alphabet: Alphabet, f: Series, n_max: int) -> PolySeq:
         raise ValueError("a delta operator has zero constant term")
     if f.coeff(1).as_rational() == 0:
         raise ValueError("f'(0) = 0: not a delta series")
-    g = f.comp_inverse().exp()
-    gamma = alphabet.register_derived(
-        "delta-rep", MomentSeq.from_egf(g), auxiliary=False
-    )
+    h = f.comp_inverse()
+    kappas = [h.coeff(k) * factorial(k) for k in range(1, h.order + 1)]
+    gamma = alphabet.register_derived("delta-rep", _cumulant_seq(kappas, "delta-rep"), auxiliary=False)
     return binomial_from_umbra(alphabet, gamma, n_max, kind="from-delta")
 
 
@@ -353,16 +356,13 @@ def umbra_with_derivative_targets(
 ) -> UmbraId:
     """An umbra whose ``x.umbra`` sequence has ``p_k'(0)`` equal to ``targets``.
 
-    ``targets[0]`` is ``p_1'(0)`` and must be nonzero.  The EGF of the
-    moments is ``exp`` of the series with those coefficients over ``k!``.
+    ``targets[0]`` is ``p_1'(0)`` and must be nonzero; the targets are the
+    umbra's cumulants.
     """
     ds = [as_poly(t) for t in targets]
     if not ds or ds[0].is_zero:
         raise ValueError("the first derivative target must be nonzero")
-    h = Series([ZERO] + [d * Fraction(1, factorial(k + 1)) for k, d in enumerate(ds)])
-    return alphabet.register_derived(
-        name, MomentSeq.from_egf(h.exp()), auxiliary=False
-    )
+    return alphabet.register_derived(name, _cumulant_seq(ds, "cumulants"), auxiliary=False)
 
 
 def umbra_for_sequence(alphabet: Alphabet, seq: PolySeq, name: str = "rep") -> UmbraId:
@@ -377,17 +377,19 @@ def umbra_for_sequence(alphabet: Alphabet, seq: PolySeq, name: str = "rep") -> U
 def abel_umbra_for(alphabet: Alphabet, seq: PolySeq, name: str = "abel-rep") -> UmbraId:
     """Solve for the umbra putting a normalized binomial sequence in Abel form.
 
-    Recursion on ``p_n'(0) = E[(n.alpha)^{n-1}]``: the top moment enters
-    with coefficient n, so each step is one division.
+    Recursion on ``p_n'(0) = E[(n.alpha)^{n-1}] = q_{n-1}(n)`` down the dot
+    table of ``alpha``, where ``kappa_{n-1}`` enters as ``kappa_{n-1} n``:
+    one division per row, and the moments are the row sums.
     """
     _require_normalized(seq)
-    moments: list[Poly] = []
-    for n in range(2, seq.n_max + 1):
-        target = derivative_at_zero(seq[n])
-        scratch = Alphabet()
-        trial = scratch.register("a0", MomentSeq.from_list([*moments, ZERO]))
-        partial = dot_scalar(scratch, n, trial, n - 1)
-        moments.append((target - partial) * Fraction(1, n))
+
+    def cumulant(k: int, partial: list[Poly]) -> Poly:
+        n = k + 1
+        known = sum((c * n**i for i, c in enumerate(partial)), ZERO)
+        return (derivative_at_zero(seq[n]) - known) * Fraction(1, n)
+
+    table = _DotTable(cumulant)
+    moments = [table.moment(k) for k in range(1, seq.n_max)]
     return alphabet.register_derived(
         name, MomentSeq.from_list(moments), auxiliary=False
     )
@@ -396,21 +398,23 @@ def abel_umbra_for(alphabet: Alphabet, seq: PolySeq, name: str = "abel-rep") -> 
 def rising_umbra_for(alphabet: Alphabet, seq: PolySeq, name: str = "rising-rep") -> UmbraId:
     """Solve for the umbra putting a normalized binomial sequence in rising form.
 
-    Recursion on ``p_n'(0) = acc_{n-1}(0, 0)`` along the sweep of
-    :func:`rising_factorial_sequence`.  The top moment ``m_{n-1}`` enters
-    ``acc_{n-1}`` only as an added constant, so each step shifts with that
-    moment set to 0, solves for it, and adds it: one sweep in all.
+    Recursion on ``p_n'(0) = a_{n-1}(0) = E[a_{n-2}(mu) mu]`` along the
+    sweep of :func:`rising_factorial_sequence`: each step averages
+    ``b = s a_{n-3}(s)`` (``b = 1`` at first) into the monic ``a_{n-2}``,
+    so ``m_{n-1}`` enters ``p_n'(0)`` with coefficient 1 and is solved for;
+    one sweep in all.
     """
     _require_normalized(seq)
     s = _fresh_var(seq.entries)
     moments: list[Poly] = []
-    acc = ONE
+    scratch = Alphabet()
+    mu = scratch.register("mu", MomentSeq(lambda k: moments[k - 1]))
+    b = ONE
     for n in range(2, seq.n_max + 1):
-        scratch = Alphabet()
-        trial = scratch.register("m0", MomentSeq.from_list([*moments, ZERO]))
-        acc = shift_by_umbra(scratch, acc * (X + Poly.var(s)), trial, s)
-        moments.append(derivative_at_zero(seq[n]) - acc.substitute({"x": ZERO, s: ZERO}))
-        acc = acc + moments[-1]
+        acc = shift_by_umbra(scratch, b, mu, s)
+        lower = [c * moments[j] for j, c in acc.coefficients_in(s).items() if j < n - 2]
+        moments.append(derivative_at_zero(seq[n]) - sum(lower, ZERO))
+        b = acc * Poly.var(s)
     return alphabet.register_derived(
         name, MomentSeq.from_list(moments), auxiliary=False
     )

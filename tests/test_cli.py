@@ -4,11 +4,12 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from umbral import MomentSeq
+from umbral import MomentSeq, Poly
 from umbral.cli import main
 
 
@@ -107,6 +108,12 @@ def test_ksequence():
     assert (code, out) == (0, "1; 2*a_1; 2*a_1^2+2*a_2\n")
 
 
+def test_stirling_numbers_of_large_order():
+    n = 600
+    assert run_cli("oracle", "stirling2", str(n), "2") == (0, f"{2 ** (n - 1) - 1}\n")
+    assert run_cli("oracle", "stirling1", str(n), "1") == (0, f"{(-1) ** (n - 1) * factorial(n - 1)}\n")
+
+
 def test_oracle_commands():
     assert run_cli("oracle", "stirling2", "4", "2") == (0, "7\n")
     assert run_cli("oracle", "stirling1", "4", "2") == (0, "11\n")
@@ -187,6 +194,8 @@ def test_malformed_input_exits_cleanly():
         (("ksequence", "uniform", "3", "--coeffs", ""), 1, "coefficient"),
         (("eval", "--let", " =uniform", "x"), 1, "' =uniform'"),
         (("eval", "--let", "a b=uniform", "x"), 1, "'a b=uniform'"),
+        (("eval", "(" * 200 + "1" + ")" * 200), 1, "recursion depth"),
+        (("eval", ".".join(["uniform"] * 300)), 1, "recursion depth"),
     ):
         got, out, err = run_cli_captured(*args)
         assert (got, out) == (code, ""), args
@@ -202,19 +211,31 @@ def test_repeated_main_calls_share_no_state():
 
 
 def test_cli_jobs_leave_no_moment_sequences_behind():
-    def live_moment_seqs():
+    def live_objects():
         gc.collect()
-        return sum(isinstance(obj, MomentSeq) for obj in gc.get_objects())
+        objs = gc.get_objects()
+        return sum(isinstance(o, Poly) for o in objs), sum(isinstance(o, MomentSeq) for o in objs)
 
-    def job(i):
-        spec = f"list:[{i % 5 + 1},{i % 3},-1/{i + 1},2,{i}]"
-        assert run_cli("binomial", spec, "5")[0] == 0
+    def spec(i):
+        return f"list:[{i % 5 + 1},{i % 3},-1/{i + 1},2,{i}]"
 
-    job(0)
-    before = live_moment_seqs()
-    for i in range(50):
-        job(i)
-    assert live_moment_seqs() <= before
+    jobs = (
+        lambda i: ("binomial", spec(i), "5"),
+        lambda i: ("abel", spec(i), "5"),
+        lambda i: ("rising", spec(i), "5"),
+        lambda i: ("sheffer", "rising", spec(i), spec(i + 1), "5"),
+        lambda i: ("delta-of", "binomial", spec(i), "5"),
+        lambda i: ("from-delta", f"coeffs:0,{i % 5 + 1},-1/{i + 1},{i}", "5"),
+        lambda i: ("compose", spec(i), spec(i + 1), "4"),
+        lambda i: ("ksequence", spec(i), "4"),
+        lambda i: ("eval", "--let", f"a={spec(i)}", f"(x.a)^3 + a^2*{i}"),
+    )
+    for job in jobs:
+        assert run_cli(*job(0))[0] == 0, job(0)
+        after_first = live_objects()
+        for i in range(1, 41):
+            assert run_cli(*job(i))[0] == 0, job(i)
+        assert live_objects() == after_first, job(0)
 
 
 _SPECS = ("uniform", "eps", "bernoulli", "const:2", "const:-1/2", "const:1/0", "generic:a",

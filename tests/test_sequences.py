@@ -23,6 +23,7 @@ from umbral import (
     expansion_coefficients,
     expm1_series,
     first_binomial_failure,
+    moments_from_egf,
     normalize,
     one_minus_exp_neg_series,
     rising_factorial_sequence,
@@ -39,7 +40,9 @@ from umbral import (
     validate_binomial,
 )
 import umbral.sequences as sequences
+from umbral.poly import first_law_failure
 from umbral.sequences import PolySeq, Provenance
+from conftest import delta_series, nonzero_rationals, rationals
 
 X = Poly.var("x")
 Y = Poly.var("y")
@@ -172,11 +175,12 @@ def test_rising_matches_unoptimized_expansion(ab):
 
 def test_rising_constructions_register_no_clones(ab):
     mu = ab.register("mu", MomentSeq.uniform())
-    before = dict(ab._moments)
-    seq = rising_factorial_sequence(ab, mu, 6)
-    assert ab._moments == before
-    rep = rising_umbra_for(ab, normalize(ab, seq))
-    assert set(ab._moments) - set(before) == {rep}
+    for build, solve in ((rising_factorial_sequence, rising_umbra_for), (abel_sequence, abel_umbra_for)):
+        before = dict(ab._moments)
+        seq = build(ab, mu, 6)
+        assert ab._moments == before
+        rep = solve(ab, normalize(ab, seq))
+        assert set(ab._moments) - set(before) == {rep}
 
 
 # ---------------------------------------------------------------------------
@@ -731,3 +735,111 @@ def test_shift_by_umbra_matches_expansion(ab):
         + 5
     )
     assert shifted == expanded
+
+
+# ---------------------------------------------------------------------------
+# the routes the cumulant rows replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def rising_oracle(ab, mu, n_max):
+    """The bivariate sweep ``acc_{t+1}(x, s) = E[acc_t(x, s+mu) (x+s+mu)]``,
+    ``p_n = x acc_{n-1}(x, 0)``."""
+    entries, acc = [Poly.const(1)], Poly.const(1)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            acc = shift_by_umbra(ab, acc * (X + Poly.var("s")), mu, "s")
+        entries.append(X * acc.coefficient_of("s", 0))
+    return entries
+
+
+def abel_oracle(ab, alpha, n_max):
+    """``p_n = x E[(x + n.alpha)^{n-1}]`` through a registered ``n.alpha``."""
+    return [Poly.const(1)] + [
+        X * shift_by_umbra(ab, X ** (n - 1), dot_int(ab, n, alpha)) for n in range(1, n_max + 1)
+    ]
+
+
+def umbra_of_egf(ab, egf, name):
+    """The umbra whose moment EGF is ``egf``."""
+    return ab.register_derived(name, MomentSeq.from_list(moments_from_egf(egf)[1:]), auxiliary=False)
+
+
+def from_delta_oracle(ab, f, n_max):
+    """``x.gamma`` where gamma's moment EGF is ``exp`` of the inverse of ``f``."""
+    gamma = umbra_of_egf(ab, f.comp_inverse().exp(), "delta-oracle")
+    return binomial_from_umbra(ab, gamma, n_max).entries
+
+
+def targets_oracle(ab, targets):
+    """The umbra whose moment EGF is ``exp(sum_k targets[k-1] t^k / k!)``."""
+    h = Series([0] + [Poly.const(t) * Fraction(1, factorial(k)) for k, t in enumerate(targets, 1)])
+    return umbra_of_egf(ab, h.exp(), "targets-oracle")
+
+
+def law_failure_oracle(seq, n_max=None):
+    """The two-variable law ``p_k(x+y) = sum_i C(k,i) p_i(x) p_{k-i}(y)``,
+    after the ``p_0 = 1`` and degree checks."""
+    top = seq.n_max if n_max is None else min(n_max, seq.n_max)
+    if seq[0] != Poly.const(1):
+        return 0
+    bad_degree = next((k for k in range(1, top + 1) if seq[k].degree_in("x") != k), None)
+    law_top = top if bad_degree is None else bad_degree - 1
+    bad_law = first_law_failure(seq.entries, seq.entries, law_top, {"x": X + Y}, {"x": Y}, comb)
+    return bad_degree if bad_law is None else bad_law
+
+
+@st.composite
+def moment_specs(draw):
+    """``const:``, ``list:`` (seven moments, the first nonzero) or ``generic:`` specs."""
+    kind = draw(st.sampled_from(["const", "list", "generic"]))
+    if kind == "const":
+        return f"const:{draw(nonzero_rationals)}"
+    if kind == "generic":
+        return "generic:a"
+    values = [draw(nonzero_rationals), *draw(st.lists(rationals, min_size=6, max_size=6))]
+    return "list:[" + ",".join(map(str, values)) + "]"
+
+
+@settings(max_examples=30, deadline=None)
+@given(moment_specs(), st.integers(0, 7))
+def test_rising_and_abel_match_their_shift_oracles(spec, n):
+    ab = Alphabet()
+    g = ab.register_spec("g", spec)
+    assert list(rising_factorial_sequence(ab, g, n).entries) == rising_oracle(ab, g, n)
+    assert list(abel_sequence(ab, g, n).entries) == abel_oracle(ab, g, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(delta_series(order=7), st.integers(0, 7))
+def test_from_delta_matches_the_exp_oracle(f, n):
+    ab = Alphabet()
+    assert sequence_from_delta(ab, f, n).entries == from_delta_oracle(ab, f, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(moment_specs())
+def test_derivative_targets_match_the_exp_oracle(spec):
+    ab = Alphabet()
+    targets = ab.moments(ab.register_spec("g", spec), 7)[1:]
+    got, want = umbra_with_derivative_targets(ab, targets), targets_oracle(ab, targets)
+    assert ab.moments(got, 7) == ab.moments(want, 7)
+    assert binomial_from_umbra(ab, got, 7).entries == binomial_from_umbra(ab, want, 7).entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([binomial_from_umbra, abel_sequence, rising_factorial_sequence]),
+    moment_specs(),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 8), nonzero_rationals, st.booleans()), min_size=1, max_size=3),
+    st.none() | st.integers(0, 7),
+)
+def test_first_binomial_failure_matches_the_law_oracle(build, spec, defects, n_max):
+    """Entries perturbed by ``c x^d`` or ``c b x^d`` (any d, the linear
+    term included) fail at the same index under both checks."""
+    ab = Alphabet()
+    entries = list(build(ab, ab.register_spec("g", spec), 7).entries)
+    for k, d, c, symbolic in defects:
+        entries[k] = entries[k] + c * (Poly.var("b") if symbolic else 1) * X**d
+    seq = PolySeq(tuple(entries), Provenance("manual"))
+    assert first_binomial_failure(seq, n_max) == law_failure_oracle(seq, n_max)
